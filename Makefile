@@ -48,7 +48,6 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecodeStealRelease -fuzztime=2s ./internal/steal
 	go test -run='^$$' -fuzz=FuzzInboxOrder -fuzztime=2s ./internal/sim
 	go test -run='^$$' -fuzz=FuzzTuningMatrix -fuzztime=2s ./internal/sim
-	go test -run='^$$' -fuzz=FuzzLookaheadMatrix -fuzztime=2s ./internal/fabric
 
 # End-to-end smoke of the simd experiment service: content-addressed cache
 # hits with byte-identical CSV, mid-sweep cancel, and SIGINT checkpointing.

@@ -89,18 +89,10 @@ type Options struct {
 	// Shards, when > 1, runs the simulation on a sharded parallel domain
 	// (sim.Parallel): ranks are partitioned into Shards contiguous blocks
 	// advanced in parallel under a conservative round protocol whose
-	// per-shard-pair lookahead is the fabric's latency-floor matrix
-	// (fabric.LookaheadMatrix). 0 or 1 builds the serial engine.
-	// Crash-script fault injection requires the serial engine
-	// (fabric.InstallFaults enforces this).
+	// lookahead is the fabric's wire-latency floor (fabric.Lookahead). 0 or
+	// 1 builds the serial engine. Crash-script fault injection requires the
+	// serial engine (fabric.InstallFaults enforces this).
 	Shards int
-
-	// ShardTuning overrides the sharded domain's protocol optimizations
-	// (pairwise lookahead, idle-shard elision, window coalescing — all on
-	// by default). Differential tests use it to exercise each fast path in
-	// isolation; every setting is bit-identical to serial. Ignored unless
-	// Shards > 1.
-	ShardTuning *sim.Tuning
 }
 
 // DefaultOptions returns the paper-calibrated configuration for n ranks.
@@ -185,12 +177,7 @@ func Build(o Options) *Stack {
 			panic(fmt.Sprintf("stack: Shards=%d needs a positive fabric latency floor (latency %v, jitter %g)",
 				o.Shards, fc.Latency, fc.Jitter))
 		}
-		par := sim.NewParallel(o.Ranks, o.Shards, la)
-		par.SetLookahead(fabric.LookaheadMatrix(fc, o.Ranks, par.Shards(), par.ShardOf))
-		if o.ShardTuning != nil {
-			par.SetTuning(*o.ShardTuning)
-		}
-		dom = par
+		dom = sim.NewParallel(o.Ranks, o.Shards, la)
 	} else {
 		eng = sim.NewEngine()
 		dom = eng

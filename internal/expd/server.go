@@ -98,8 +98,11 @@ func NewServer(opts Options) (*Server, error) {
 			s.met.queue(1)
 		}
 	}
+	// Read the queue before dispatch starts: from then on it is only
+	// touched under s.mu.
+	pending := len(s.queue) > 0
 	go s.dispatch()
-	if len(s.queue) > 0 {
+	if pending {
 		s.kick()
 	}
 	return s, nil

@@ -1,94 +1,6 @@
 package fabric
 
-import (
-	"testing"
-
-	"amtlci/internal/sim"
-)
-
-// groupedConfig is a quiet two-level topology: groups of `group` nodes, an
-// extra spine latency between groups.
-func groupedConfig(group int, extra sim.Duration) Config {
-	c := quietConfig()
-	c.NodeGroup = group
-	c.GroupExtra = extra
-	return c
-}
-
-func TestGroupedConfigValidation(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"negative NodeGroup", func(c *Config) { c.NodeGroup = -1 }},
-		{"negative GroupExtra", func(c *Config) { c.GroupExtra = -5 }},
-		{"GroupExtra without NodeGroup", func(c *Config) { c.GroupExtra = 100; c.NodeGroup = 0 }},
-	} {
-		cfg := quietConfig()
-		tc.mut(&cfg)
-		if _, err := New(sim.NewEngine(), 4, cfg); err == nil {
-			t.Errorf("%s: New accepted invalid config", tc.name)
-		}
-	}
-}
-
-func TestGroupExtraAppliesAcrossGroupsOnly(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := groupedConfig(2, 3000) // ranks {0,1} group 0, {2,3} group 1
-	f := mustNew(eng, 4, cfg)
-	arrivals := map[int]sim.Time{}
-	for r := 0; r < 4; r++ {
-		rank := r
-		f.SetHandler(rank, func(m *Message) { arrivals[rank] = eng.Now() })
-	}
-	f.Send(&Message{Src: 0, Dst: 1, Size: 64}) // intra-group
-	f.Send(&Message{Src: 2, Dst: 3, Size: 64}) // intra-group, other group
-	eng.Run()
-	base := arrivals[1]
-	if arrivals[3] != base {
-		t.Fatalf("intra-group arrivals differ: %v vs %v", base, arrivals[3])
-	}
-	eng2 := sim.NewEngine()
-	f2 := mustNew(eng2, 4, cfg)
-	var cross sim.Time
-	f2.SetHandler(2, func(m *Message) { cross = eng2.Now() })
-	f2.Send(&Message{Src: 0, Dst: 2, Size: 64}) // cross-group
-	eng2.Run()
-	if want := base + sim.Time(cfg.GroupExtra); cross != want {
-		t.Fatalf("cross-group arrival = %v, want intra %v + extra %v", cross, base, cfg.GroupExtra)
-	}
-}
-
-func TestFlatFabricUnchangedByGroupFields(t *testing.T) {
-	// A grouped config where every rank shares one group must reproduce the
-	// flat fabric's timings exactly (same RNG draw sequence).
-	run := func(cfg Config) []sim.Time {
-		eng := sim.NewEngine()
-		f := mustNew(eng, 4, cfg)
-		var times []sim.Time
-		f.SetHandler(1, func(m *Message) { times = append(times, eng.Now()) })
-		f.SetHandler(3, func(m *Message) { times = append(times, eng.Now()) })
-		for i := 0; i < 10; i++ {
-			f.Send(&Message{Src: 0, Dst: 1, Size: 64})
-			f.Send(&Message{Src: 2, Dst: 3, Size: 256})
-		}
-		eng.Run()
-		return times
-	}
-	flat := run(DefaultConfig())
-	grouped := DefaultConfig()
-	grouped.NodeGroup = 4 // all four ranks in group 0
-	grouped.GroupExtra = 7000
-	got := run(grouped)
-	if len(flat) != len(got) {
-		t.Fatalf("arrival counts differ: %d vs %d", len(flat), len(got))
-	}
-	for i := range flat {
-		if flat[i] != got[i] {
-			t.Fatalf("arrival %d: flat %v, single-group %v", i, flat[i], got[i])
-		}
-	}
-}
+import "testing"
 
 func blockShardOf(ranks, shards int) func(int) int {
 	return func(r int) int { return r * shards / ranks }
@@ -107,139 +19,26 @@ func TestLookaheadMatrixFlat(t *testing.T) {
 	}
 }
 
-func TestLookaheadMatrixGrouped(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NodeGroup = 4
-	cfg.GroupExtra = 3 * cfg.Latency
-	base := sim.JitterFloor(cfg.Latency, cfg.Jitter)
-	far := sim.JitterFloor(cfg.Latency+cfg.GroupExtra, cfg.Jitter)
-	if far <= base {
-		t.Fatal("test topology must separate the floors")
-	}
-	// 16 ranks, 4 shards of 4, groups of 4: shards align exactly with
-	// groups, so every off-diagonal pair is far apart.
-	m := LookaheadMatrix(cfg, 16, 4, blockShardOf(16, 4))
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			want := far
-			if i == j {
-				want = base
-			}
-			if m[i][j] != want {
-				t.Fatalf("aligned [%d][%d] = %v, want %v", i, j, m[i][j], want)
-			}
-		}
-	}
-	// 16 ranks, 2 shards of 8: each shard spans two groups, no sharing —
-	// still far. 16 ranks, 2 shards with groups of 8: shard boundary splits
-	// a group only if blocks and groups misalign; with groups of 6, ranks
-	// 0..5 and 6..11 and 12..15 — shard 0 = ranks 0..7 holds groups {0,1},
-	// shard 1 = ranks 8..15 holds groups {1,2}: shared group 1 → base.
-	cfg.NodeGroup = 6
-	m2 := LookaheadMatrix(cfg, 16, 2, blockShardOf(16, 2))
-	if m2[0][1] != base || m2[1][0] != base {
-		t.Fatalf("group-straddling pair = %v/%v, want base %v", m2[0][1], m2[1][0], base)
-	}
-}
-
 func TestLookaheadMatrixEmptyShard(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.NodeGroup = 2
-	cfg.GroupExtra = 2 * cfg.Latency
-	far := sim.JitterFloor(cfg.Latency+cfg.GroupExtra, cfg.Jitter)
-	// Map every rank to shard 0; shards 1 and 2 are empty and keep the
-	// conservative cross-group floor.
+	// Map every rank to shard 0; shards 1 and 2 are empty and still get the
+	// sound uniform floor.
 	m := LookaheadMatrix(cfg, 4, 3, func(int) int { return 0 })
+	if len(m) != 3 {
+		t.Fatalf("matrix has %d rows, want 3", len(m))
+	}
 	for _, pair := range [][2]int{{1, 2}, {0, 1}, {2, 0}} {
-		if m[pair[0]][pair[1]] != far {
-			t.Fatalf("empty-shard entry [%d][%d] = %v, want far %v", pair[0], pair[1], m[pair[0]][pair[1]], far)
+		if got := m[pair[0]][pair[1]]; got != Lookahead(cfg) {
+			t.Fatalf("empty-shard entry [%d][%d] = %v, want %v", pair[0], pair[1], got, Lookahead(cfg))
 		}
 	}
 }
 
 func TestLookaheadMatrixRejectsBadShardOf(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NodeGroup = 2
-	cfg.GroupExtra = cfg.Latency
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range shardOf did not panic")
 		}
 	}()
-	LookaheadMatrix(cfg, 4, 2, func(int) int { return 5 })
-}
-
-// FuzzLookaheadMatrix checks the matrix against a brute-force reference for
-// arbitrary rank→shard assignments: every entry positive, the matrix
-// symmetric, and each populated pair equal to the true minimum latency floor
-// over its rank pairs.
-func FuzzLookaheadMatrix(f *testing.F) {
-	f.Add(uint64(1), uint8(8), uint8(3), uint8(2), uint8(4))
-	f.Add(uint64(7), uint8(16), uint8(4), uint8(4), uint8(0))
-	f.Add(uint64(42), uint8(5), uint8(7), uint8(1), uint8(9))
-	f.Fuzz(func(t *testing.T, assign uint64, ranksB, shardsB, groupB, extraB uint8) {
-		ranks := int(ranksB)%16 + 1
-		shards := int(shardsB)%8 + 1
-		cfg := DefaultConfig()
-		cfg.NodeGroup = int(groupB) % 5 // 0 = flat
-		cfg.GroupExtra = sim.Duration(extraB) * cfg.Latency / 4
-		if cfg.NodeGroup == 0 {
-			cfg.GroupExtra = 0
-		}
-		// Decode an arbitrary assignment from the fuzz word: 3 bits per rank.
-		shardOf := func(r int) int { return int(assign>>(uint(r%21)*3)) % shards }
-
-		m := LookaheadMatrix(cfg, ranks, shards, shardOf)
-
-		base := sim.JitterFloor(cfg.Latency, cfg.Jitter)
-		far := base
-		grouped := cfg.NodeGroup > 0 && cfg.GroupExtra > 0
-		if grouped {
-			far = sim.JitterFloor(cfg.Latency+cfg.GroupExtra, cfg.Jitter)
-		}
-		groupOf := func(r int) int {
-			if !grouped {
-				return 0
-			}
-			return r / cfg.NodeGroup
-		}
-		// Brute force: min floor over distinct rank pairs of each shard pair.
-		ref := make([][]sim.Duration, shards)
-		for i := range ref {
-			ref[i] = make([]sim.Duration, shards)
-			for j := range ref[i] {
-				ref[i][j] = far
-			}
-			ref[i][i] = base
-		}
-		for a := 0; a < ranks; a++ {
-			for b := 0; b < ranks; b++ {
-				if a == b {
-					continue
-				}
-				d := far
-				if groupOf(a) == groupOf(b) {
-					d = base
-				}
-				sa, sb := shardOf(a), shardOf(b)
-				if sa != sb && d < ref[sa][sb] {
-					ref[sa][sb] = d
-				}
-			}
-		}
-		for i := 0; i < shards; i++ {
-			for j := 0; j < shards; j++ {
-				if m[i][j] <= 0 {
-					t.Fatalf("entry [%d][%d] = %v, want positive", i, j, m[i][j])
-				}
-				if m[i][j] != m[j][i] {
-					t.Fatalf("asymmetric: [%d][%d]=%v, [%d][%d]=%v", i, j, m[i][j], j, i, m[j][i])
-				}
-				if m[i][j] != ref[i][j] {
-					t.Fatalf("entry [%d][%d] = %v, brute force says %v (ranks=%d shards=%d group=%d)",
-						i, j, m[i][j], ref[i][j], ranks, shards, cfg.NodeGroup)
-				}
-			}
-		}
-	})
+	LookaheadMatrix(DefaultConfig(), 4, 2, func(int) int { return 5 })
 }

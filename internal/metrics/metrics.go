@@ -105,25 +105,19 @@ func (g *Gauge) Max() int64 { return g.max.Load() }
 // Histogram buckets observations by log2 magnitude: bucket i counts values v
 // with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i). Fixed 65 buckets cover
 // the whole uint64 range with no configuration and O(1) observation. The sum
-// is kept as float64 bits behind a CAS loop; observations from different
-// shards commute because float addition of same-magnitude latencies is
-// order-insensitive at snapshot precision.
+// is an integer: observations are uint64, and integer addition commutes
+// exactly, so observations from different shards give the same sum in any
+// order (a float sum would round differently per order once it passes 2^53).
 type Histogram struct {
 	count   atomic.Uint64
-	sum     atomic.Uint64 // math.Float64bits of the running sum
+	sum     atomic.Uint64
 	buckets [65]atomic.Uint64
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
 	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + float64(v))
-		if h.sum.CompareAndSwap(old, next) {
-			break
-		}
-	}
+	h.sum.Add(v)
 	h.buckets[bits.Len64(v)].Add(1)
 }
 
@@ -131,7 +125,7 @@ func (h *Histogram) Observe(v uint64) {
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
+func (h *Histogram) Sum() float64 { return float64(h.sum.Load()) }
 
 // Mean returns the average observed value, or 0 with no observations.
 func (h *Histogram) Mean() float64 {

@@ -73,6 +73,26 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// The sum must not depend on observation order: {2^53, 1, 1} sums to
+// 2^53+2 whichever order the values arrive in (a float64 running sum loses
+// both ones when 2^53 comes first, since 2^53+1 rounds back to 2^53).
+func TestHistogramSumOrderIndependent(t *testing.T) {
+	const big = uint64(1) << 53
+	var first, last Histogram
+	for _, v := range []uint64{big, 1, 1} {
+		first.Observe(v)
+	}
+	for _, v := range []uint64{1, 1, big} {
+		last.Observe(v)
+	}
+	if first.Sum() != last.Sum() {
+		t.Fatalf("sum depends on order: %v (big first) vs %v (big last)", first.Sum(), last.Sum())
+	}
+	if want := float64(big + 2); first.Sum() != want {
+		t.Fatalf("sum = %v, want %v", first.Sum(), want)
+	}
+}
+
 func TestSnapshotsSortedAndTyped(t *testing.T) {
 	r := New()
 	r.Counter("zz", "a", 0).Add(7)

@@ -136,11 +136,6 @@ func (e *Engine) Cancel(h Event) {
 // flag on return, so a stop never leaks into the run after the one it ended.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopping reports whether a stop is armed (set by Stop and not yet consumed
-// by a run). The parallel coordinator uses it to tell "stopped" from "queue
-// drained" at a window boundary.
-func (e *Engine) Stopping() bool { return e.stopped }
-
 // Run executes events until the queue drains or Stop is called. It returns
 // the final virtual time. A stop armed before the call makes it return
 // immediately at the current clock; either way the stop is consumed.

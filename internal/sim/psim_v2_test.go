@@ -5,42 +5,52 @@ import (
 	"testing"
 )
 
-// allTunings enumerates every combination of the protocol's optimization
-// gates. Each one must be bit-identical to serial — disabling a gate only
-// shrinks horizons or runs more shards per round, never reorders.
-func allTunings() []Tuning {
-	var ts []Tuning
-	for i := 0; i < 8; i++ {
-		ts = append(ts, Tuning{
-			PairwiseLookahead: i&1 != 0,
-			ElideIdleShards:   i&2 != 0,
-			CoalesceWindows:   i&4 != 0,
-		})
+// skewedLookahead is a heterogeneous shard-pair matrix whose off-diagonal
+// minimum is min: row i sits i quanta above it. SetLookahead must install
+// exactly min, so a workload that keeps min of lookahead on every cross
+// send stays sound.
+func skewedLookahead(shards int, min Duration) [][]Duration {
+	m := make([][]Duration, shards)
+	for i := range m {
+		m[i] = make([]Duration, shards)
+		for j := range m[i] {
+			if i != j {
+				m[i][j] = min + quantum*Duration(i)
+			}
+		}
 	}
-	return ts
+	return m
 }
 
-func tuningLabel(tn Tuning) string {
-	return fmt.Sprintf("pair=%v elide=%v coalesce=%v",
-		tn.PairwiseLookahead, tn.ElideIdleShards, tn.CoalesceWindows)
+// newParallelLook builds a domain with lookahead look, installed either by
+// the constructor or, from a smaller constructor value, by SetLookahead
+// over a skewed matrix whose minimum is look.
+func newParallelLook(ranks, shards int, look Duration, viaMatrix bool) *Parallel {
+	if !viaMatrix {
+		return NewParallel(ranks, shards, look)
+	}
+	p := NewParallel(ranks, shards, quantum)
+	p.SetLookahead(skewedLookahead(p.Shards(), look))
+	return p
 }
 
-// The fast paths in isolation: every tuning combination, from the all-off
-// v1 protocol to the all-on default, must reproduce the serial trace on the
-// standard workload.
+// The protocol's remaining configuration matrix — lookahead width times
+// how it is installed (constructor or SetLookahead's off-diagonal minimum)
+// — must reproduce the serial trace on the standard workload.
 func TestParallelTuningMatrixMatchesSerial(t *testing.T) {
-	const lookQ = 2
 	for _, ranks := range []int{3, 8} {
 		for _, seed := range []uint64{1, 0xbeef} {
-			serial := runWorkload(NewEngine(), ranks, seed, 40, lookQ)
-			for _, shards := range []int{2, 4} {
-				for _, tn := range allTunings() {
-					p := NewParallel(ranks, shards, quantum*lookQ)
-					p.SetTuning(tn)
-					got := runWorkload(p, ranks, seed, 40, lookQ)
-					diffTraces(t, fmt.Sprintf("ranks=%d seed=%d shards=%d %s", ranks, seed, shards, tuningLabel(tn)), serial, got)
-					if p.Pending() != 0 {
-						t.Fatalf("shards=%d %s: %d events still pending", shards, tuningLabel(tn), p.Pending())
+			for _, lookQ := range []int{1, 2, 3} {
+				serial := runWorkload(NewEngine(), ranks, seed, 40, lookQ)
+				for _, shards := range []int{2, 4} {
+					for _, viaMatrix := range []bool{false, true} {
+						label := fmt.Sprintf("ranks=%d seed=%d lookQ=%d shards=%d matrix=%v", ranks, seed, lookQ, shards, viaMatrix)
+						p := newParallelLook(ranks, shards, quantum*Duration(lookQ), viaMatrix)
+						got := runWorkload(p, ranks, seed, 40, lookQ)
+						diffTraces(t, label, serial, got)
+						if p.Pending() != 0 {
+							t.Fatalf("%s: %d events still pending", label, p.Pending())
+						}
 					}
 				}
 			}
@@ -109,117 +119,16 @@ func runRefWorkload(ranks int, seed uint64, events, lookQ int) [][]traceRec {
 	return traces
 }
 
-// The second independent oracle: the sharded domain with every optimization
-// on (and with each gate off) must match the container/heap reference
-// engine, not just the calendar-queue serial engine.
+// The second independent oracle: the sharded domain must match the
+// container/heap reference engine, not just the calendar-queue serial
+// engine.
 func TestParallelMatchesRefEngine(t *testing.T) {
 	const lookQ = 2
 	for _, ranks := range []int{3, 8} {
 		for _, seed := range []uint64{7, 0xcafe} {
 			ref := runRefWorkload(ranks, seed, 40, lookQ)
-			for _, tn := range []Tuning{AllOptimizations(), {}, {PairwiseLookahead: true}, {ElideIdleShards: true}, {CoalesceWindows: true}} {
-				p := NewParallel(ranks, 4, quantum*lookQ)
-				p.SetTuning(tn)
-				got := runWorkload(p, ranks, seed, 40, lookQ)
-				diffTraces(t, fmt.Sprintf("ref ranks=%d seed=%d %s", ranks, seed, tuningLabel(tn)), ref, got)
-			}
-		}
-	}
-}
-
-// runPairWorkload is runWorkload with a per-rank-pair send distance: sends
-// from src to dst keep >= lookFor(src, dst) of lookahead. The distances are
-// a pure function of the rank pair, so serial and sharded runs of the same
-// workload produce identical timestamps.
-func runPairWorkload(dom Domain, ranks int, seed uint64, events int, lookFor func(src, dst int) Duration) [][]traceRec {
-	traces := make([][]traceRec, ranks)
-	rngs := make([]*RNG, ranks)
-	budget := make([]int, ranks)
-	offs := make([]uint64, ranks)
-	for r := 0; r < ranks; r++ {
-		rngs[r] = NewRNG(seed + uint64(r)*0x9e3779b97f4a7c15)
-		budget[r] = events
-	}
-	nextOff := func(rank int) Time {
-		o := offs[rank]*uint64(ranks) + uint64(rank)
-		offs[rank]++
-		return Time(o)
-	}
-	alignUp := func(t Time) Time {
-		q := Time(quantum)
-		return (t + q - 1) / q * q
-	}
-	var fire func(rank int, tag uint64)
-	fire = func(rank int, tag uint64) {
-		eng := dom.RankEngine(rank)
-		traces[rank] = append(traces[rank], traceRec{at: eng.Now(), tag: tag})
-		if budget[rank] <= 0 {
-			return
-		}
-		budget[rank]--
-		rng := rngs[rank]
-		n := rng.Intn(3)
-		for i := 0; i < n; i++ {
-			base := alignUp(eng.Now())
-			switch rng.Intn(3) {
-			case 0:
-				at := base + Time(quantum)*Time(rng.Intn(3)) + nextOff(rank)
-				next := tag*8 + uint64(i) + 1
-				eng.At(at, func() { fire(rank, next) })
-			default:
-				dst := rng.Intn(ranks)
-				at := base.Add(lookFor(rank, dst)+quantum*Duration(rng.Intn(2))) + nextOff(rank)
-				next := tag*8 + uint64(i) + 2
-				dom.CrossAt(rank, dst, at, func() { fire(dst, next) })
-			}
-		}
-	}
-	for r := 0; r < ranks; r++ {
-		rank := r
-		at := Time(quantum)*Time(rank%5+1) + nextOff(rank)
-		dom.RankEngine(rank).At(at, func() { fire(rank, uint64(rank)<<32) })
-	}
-	dom.Run()
-	return traces
-}
-
-// pairMatrix is the heterogeneous test topology: shards 0 and 1 are close
-// (2 quanta), shard 2 is far (5 quanta) from both.
-func pairMatrix() [][]Duration {
-	const close, far = 2 * quantum, 5 * quantum
-	return [][]Duration{
-		{0, close, far},
-		{close, 0, far},
-		{far, far, 0},
-	}
-}
-
-// Pair-lookahead vs global-floor in isolation: a workload that respects the
-// heterogeneous per-pair distances must be serial-identical whether the
-// horizon math uses the matrix (wide windows between close shards) or
-// collapses to the uniform 2-quanta floor.
-func TestParallelPairwiseLookaheadMatchesSerial(t *testing.T) {
-	const ranks, shards = 6, 3
-	m := pairMatrix()
-	shardOf := func(r int) int { return blockOwner(r, ranks, shards) }
-	lookFor := func(src, dst int) Duration {
-		s, d := shardOf(src), shardOf(dst)
-		if s == d {
-			return quantum
-		}
-		return m[s][d]
-	}
-	for _, seed := range []uint64{3, 0x5eed} {
-		serial := runPairWorkload(NewEngine(), ranks, seed, 50, lookFor)
-		for _, tn := range allTunings() {
-			p := NewParallel(ranks, shards, quantum)
-			p.SetLookahead(pairMatrix())
-			p.SetTuning(tn)
-			if want := 2 * quantum; p.Lookahead() != want {
-				t.Fatalf("Lookahead() = %v after SetLookahead, want matrix minimum %v", p.Lookahead(), want)
-			}
-			got := runPairWorkload(p, ranks, seed, 50, lookFor)
-			diffTraces(t, fmt.Sprintf("pairwise seed=%d %s", seed, tuningLabel(tn)), serial, got)
+			got := runWorkload(NewParallel(ranks, 4, quantum*lookQ), ranks, seed, 40, lookQ)
+			diffTraces(t, fmt.Sprintf("ref ranks=%d seed=%d", ranks, seed), ref, got)
 		}
 	}
 }
@@ -242,117 +151,89 @@ func TestParallelSetLookaheadValidation(t *testing.T) {
 	mustPanic("zero off-diagonal", func() {
 		p.SetLookahead([][]Duration{{0, 0, 1}, {1, 0, 1}, {1, 1, 0}})
 	})
-	// A violating cross send against the tighter pair bound panics even
-	// though it satisfies the old global floor.
-	p2 := NewParallel(6, 3, quantum)
-	p2.SetLookahead(pairMatrix())
-	mustPanic("pair bound violation", func() {
-		// rank 0 (shard 0) -> rank 5 (shard 2): bound is 5 quanta.
-		p2.CrossAt(0, 5, Time(3*quantum), func() {})
+
+	// A valid matrix installs its off-diagonal minimum as the single
+	// lookahead for every shard pair: the diagonal is ignored, a send
+	// closer than the minimum panics, and a send at exactly the minimum is
+	// legal even toward a shard pair whose own entry is larger.
+	const close, far = 2 * quantum, 5 * quantum
+	p.SetLookahead([][]Duration{
+		{1, close, far},
+		{close, 1, far},
+		{far, far, 1},
 	})
-	// The same distance toward the close shard is legal.
+	if p.lookahead != close {
+		t.Fatalf("lookahead = %v after SetLookahead, want off-diagonal minimum %v", p.lookahead, close)
+	}
+	mustPanic("send below the installed minimum", func() { p.CrossAt(0, 5, Time(close)-1, func() {}) })
 	ok := false
-	p2.CrossAt(0, 2, Time(3*quantum), func() { ok = true })
-	p2.Run()
+	// rank 0 (shard 0) -> rank 5 (shard 2): entry is far, minimum is close.
+	p.CrossAt(0, 5, Time(close), func() { ok = true })
+	p.Run()
 	if !ok {
-		t.Fatal("legal pair-distance send did not fire")
-	}
-	// Near-MaxInt64 entries must not overflow the min-plus closure into
-	// negative distances: relay sums that wrap are discarded, so every
-	// closure entry stays positive (bounded by its raw matrix entry).
-	huge := Duration(1<<63 - 2)
-	p3 := NewParallel(6, 3, quantum)
-	p3.SetLookahead([][]Duration{
-		{0, huge, huge},
-		{huge, 0, huge},
-		{huge, huge, 0},
-	})
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if i == j {
-				continue
-			}
-			if d := p3.pairDist(i, j); d <= 0 || d > huge {
-				t.Fatalf("closure[%d][%d] = %v corrupted by overflow", i, j, d)
-			}
-		}
+		t.Fatal("send at the installed minimum did not fire")
 	}
 }
 
-// Idle-shard elision in isolation: with work confined to one shard, the
-// other shards must be skipped (no barrier arrivals), and the elision
-// counter proves the fast path actually ran.
+// localChain schedules a self-contained chain of n events on rank, each
+// `gap` after the previous, recording every firing time into trace.
+func localChain(dom Domain, rank, n int, gap Duration, trace *[]Time) {
+	eng := dom.RankEngine(rank)
+	k := 0
+	var tick func()
+	tick = func() {
+		*trace = append(*trace, eng.Now())
+		k++
+		if k < n {
+			eng.After(gap, tick)
+		}
+	}
+	eng.At(0, tick)
+}
+
+// Idle-shard elision: with work confined to one shard, the other shards
+// are never woken (the elision counter proves it), and the result is
+// bit-identical to serial.
 func TestParallelElisionSkipsIdleShards(t *testing.T) {
-	const ranks, shards = 8, 4
-	build := func(tn Tuning) *Parallel {
-		p := NewParallel(ranks, shards, quantum)
-		p.SetTuning(tn)
-		// All work on rank 0 (shard 0): a local chain plus one late
-		// self-shard event, so several rounds run while shards 1..3 idle.
-		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			if n < 64 {
-				p.RankEngine(0).After(Duration(quantum/8), tick)
-			}
+	const ranks, shards, chain = 8, 4, 64
+	var serial, got []Time
+	se := NewEngine()
+	localChain(se, 0, chain, quantum/8, &serial)
+	se.Run()
+	p := NewParallel(ranks, shards, quantum)
+	localChain(p, 0, chain, quantum/8, &got)
+	p.Run()
+	if p.ElidedShardRounds() == 0 {
+		t.Fatalf("no shard-rounds elided across %d rounds", p.Rounds())
+	}
+	if len(got) != len(serial) {
+		t.Fatalf("sharded fired %d events, serial %d", len(got), len(serial))
+	}
+	for i := range serial {
+		if got[i] != serial[i] {
+			t.Fatalf("event %d at %v, serial %v", i, got[i], serial[i])
 		}
-		p.RankEngine(0).At(0, tick)
-		return p
-	}
-	on := build(Tuning{ElideIdleShards: true}) // coalescing off: forces multiple rounds
-	on.Run()
-	if on.ElidedShardRounds() == 0 {
-		t.Fatalf("elision on: no shard-rounds elided across %d rounds", on.Rounds())
-	}
-	off := build(Tuning{})
-	off.Run()
-	if off.ElidedShardRounds() != 0 {
-		t.Fatalf("elision off: counted %d elided shard-rounds", off.ElidedShardRounds())
-	}
-	if on.Fired() != off.Fired() {
-		t.Fatalf("elision changed event count: %d vs %d", on.Fired(), off.Fired())
 	}
 }
 
-// Window coalescing in isolation: a dense communication-free stretch on one
-// shard must collapse into far fewer rounds when horizons are data-driven
-// than under the fixed [T, T+L) window.
+// Window coalescing: a dense communication-free stretch on one shard,
+// spanning many lookaheads, drains in at most two rounds — horizons are
+// data-driven, and shard 1's lone event lies a full chain-length away. A
+// fixed [T, T+L) window would need about chain/4 rounds.
 func TestParallelCoalescingCollapsesQuietStretches(t *testing.T) {
-	const ranks, shards = 2, 2
-	const chain = 256
-	build := func(tn Tuning) *Parallel {
-		p := NewParallel(ranks, shards, quantum)
-		p.SetTuning(tn)
-		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			if n < chain {
-				p.RankEngine(0).After(Duration(quantum/4), tick)
-			}
-		}
-		p.RankEngine(0).At(0, tick)
-		// Shard 1 has one distant event, so the domain stays genuinely
-		// multi-shard throughout the stretch.
-		p.RankEngine(1).At(Time(quantum)*chain, func() {})
-		return p
+	const ranks, shards, chain = 2, 2, 256
+	var trace []Time
+	p := NewParallel(ranks, shards, quantum)
+	localChain(p, 0, chain, quantum/4, &trace)
+	// Shard 1 has one distant event, so the domain stays genuinely
+	// multi-shard throughout the stretch.
+	p.RankEngine(1).At(Time(quantum)*chain, func() {})
+	p.Run()
+	if len(trace) != chain || p.Fired() != chain+1 {
+		t.Fatalf("fired %d events (%d in the chain), want %d", p.Fired(), len(trace), chain+1)
 	}
-	on := build(Tuning{CoalesceWindows: true, ElideIdleShards: true})
-	on.Run()
-	off := build(Tuning{ElideIdleShards: true})
-	off.Run()
-	if on.Fired() != off.Fired() {
-		t.Fatalf("coalescing changed event count: %d vs %d", on.Fired(), off.Fired())
-	}
-	// The fixed window needs ~chain/4 rounds for the stretch; data-driven
-	// horizons see shard 1's event a full chain-length away and take the
-	// whole stretch in one or two rounds.
-	if off.Rounds() < chain/8 {
-		t.Fatalf("fixed-window run took only %d rounds; workload does not exercise coalescing", off.Rounds())
-	}
-	if on.Rounds()*8 > off.Rounds() {
-		t.Fatalf("coalescing did not collapse rounds: %d vs %d fixed-window", on.Rounds(), off.Rounds())
+	if p.Rounds() > 2 {
+		t.Fatalf("quiet stretch took %d rounds, want <= 2", p.Rounds())
 	}
 }
 
@@ -463,28 +344,24 @@ func TestParallelActiveSetOscillationStress(t *testing.T) {
 	const ranks, pulses, quiet = 8, 150, 3
 	serial := runPulseWorkload(NewEngine(), ranks, pulses, quiet)
 	for _, shards := range []int{4, 8} {
-		for _, tn := range []Tuning{
-			AllOptimizations(),
-			{ElideIdleShards: true}, // coalescing off: one round per quantum, more transitions
-		} {
-			p := NewParallel(ranks, shards, quantum)
-			p.SetTuning(tn)
-			got := runPulseWorkload(p, ranks, pulses, quiet)
-			diffTraces(t, fmt.Sprintf("shards=%d %s", shards, tuningLabel(tn)), serial, got)
-			if p.Pending() != 0 {
-				t.Fatalf("shards=%d %s: %d events still pending", shards, tuningLabel(tn), p.Pending())
-			}
-			if p.ElidedShardRounds() == 0 {
-				t.Fatalf("shards=%d %s: quiet phases elided nothing across %d rounds; workload does not oscillate",
-					shards, tuningLabel(tn), p.Rounds())
-			}
+		p := NewParallel(ranks, shards, quantum)
+		got := runPulseWorkload(p, ranks, pulses, quiet)
+		diffTraces(t, fmt.Sprintf("shards=%d", shards), serial, got)
+		if p.Pending() != 0 {
+			t.Fatalf("shards=%d: %d events still pending", shards, p.Pending())
+		}
+		if p.ElidedShardRounds() == 0 {
+			t.Fatalf("shards=%d: quiet phases elided nothing across %d rounds; workload does not oscillate",
+				shards, p.Rounds())
 		}
 	}
 }
 
-// FuzzTuningMatrix extends the inbox-order fuzzer across the optimization
-// gates: arbitrary workloads under arbitrary gate combinations must stay
-// serial-identical.
+// FuzzTuningMatrix extends the inbox-order fuzzer across the lookahead
+// configuration: arbitrary workloads under an arbitrary lookahead width,
+// installed by the constructor or by SetLookahead, must stay
+// serial-identical. gates&3 picks the width in quanta, gates&4 the
+// installation path.
 func FuzzTuningMatrix(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(2), uint8(20), uint8(7))
 	f.Add(uint64(99), uint8(9), uint8(3), uint8(35), uint8(0))
@@ -493,16 +370,11 @@ func FuzzTuningMatrix(f *testing.F) {
 		nr := int(ranks)%16 + 1
 		ns := int(shards)%8 + 1
 		ev := int(events) % 48
-		tn := Tuning{
-			PairwiseLookahead: gates&1 != 0,
-			ElideIdleShards:   gates&2 != 0,
-			CoalesceWindows:   gates&4 != 0,
-		}
-		const lookQ = 1
+		lookQ := int(gates&3) + 1
+		viaMatrix := gates&4 != 0
 		serial := runWorkload(NewEngine(), nr, seed, ev, lookQ)
-		p := NewParallel(nr, ns, quantum*lookQ)
-		p.SetTuning(tn)
+		p := newParallelLook(nr, ns, quantum*Duration(lookQ), viaMatrix)
 		got := runWorkload(p, nr, seed, ev, lookQ)
-		diffTraces(t, fmt.Sprintf("ranks=%d shards=%d %s", nr, ns, tuningLabel(tn)), serial, got)
+		diffTraces(t, fmt.Sprintf("ranks=%d shards=%d lookQ=%d matrix=%v", nr, ns, lookQ, viaMatrix), serial, got)
 	})
 }

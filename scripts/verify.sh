@@ -93,7 +93,6 @@ timeout 120 go test -run='^$' -fuzz=FuzzDecodeStealReply -fuzztime=2s ./internal
 timeout 120 go test -run='^$' -fuzz=FuzzDecodeStealRelease -fuzztime=2s ./internal/steal
 timeout 120 go test -run='^$' -fuzz=FuzzInboxOrder -fuzztime=2s ./internal/sim
 timeout 120 go test -run='^$' -fuzz=FuzzTuningMatrix -fuzztime=2s ./internal/sim
-timeout 120 go test -run='^$' -fuzz=FuzzLookaheadMatrix -fuzztime=2s ./internal/fabric
 
 # Experiment-service smoke behind a time budget: start simd on a random
 # port, prove the content-addressed cache (cold sweep, warm subset, dedup

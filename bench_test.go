@@ -347,67 +347,3 @@ func BenchmarkAblationActivateMultithreading(b *testing.B) {
 		}
 	}
 }
-
-// ---- Extensions (the paper's stated future work, §4.2.2 and §7) ----
-
-// BenchmarkExtensionLCINativePut contrasts the shipping handshake-emulated
-// put with the one-sided Putd extension ("new features to LCI that can
-// directly implement the PaRSEC put interface", §7).
-func BenchmarkExtensionLCINativePut(b *testing.B) {
-	for _, native := range []bool{false, true} {
-		native := native
-		name := "emulated"
-		if native {
-			name = "native"
-		}
-		b.Run(name, func(b *testing.B) {
-			var tts float64
-			for i := 0; i < b.N; i++ {
-				o := stack.DefaultOptions(stack.LCI, 4)
-				o.LCICE.NativePut = native
-				tts = runHiCMAStack(o, 32, 64, false, 1200)
-			}
-			b.ReportMetric(tts, "s-tts")
-		})
-	}
-}
-
-// BenchmarkExtensionProgressThreads sweeps the progress-thread count
-// ("examining the benefits of using multiple communication or progress
-// threads", §7).
-func BenchmarkExtensionProgressThreads(b *testing.B) {
-	for _, threads := range []int{1, 2, 4} {
-		threads := threads
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			var tts float64
-			for i := 0; i < b.N; i++ {
-				o := stack.DefaultOptions(stack.LCI, 4)
-				o.LCICE.ProgressThreads = threads
-				tts = runHiCMAStack(o, 32, 64, false, 1200)
-			}
-			b.ReportMetric(tts, "s-tts")
-		})
-	}
-}
-
-// BenchmarkExtensionMPIRMA contrasts the §4.2.2 two-sided put emulation
-// with the RMA-based transport the paper leaves for future work, including
-// its dynamic-window attach costs.
-func BenchmarkExtensionMPIRMA(b *testing.B) {
-	for _, rma := range []bool{false, true} {
-		rma := rma
-		name := "two-sided"
-		if rma {
-			name = "rma"
-		}
-		b.Run(name, func(b *testing.B) {
-			var tts float64
-			for i := 0; i < b.N; i++ {
-				o := stack.DefaultOptions(stack.MPI, 4)
-				o.MPICE.UseRMA = rma
-				tts = runHiCMAStack(o, 32, 64, false, 1200)
-			}
-			b.ReportMetric(tts, "s-tts")
-		})
-	}
-}

@@ -31,6 +31,14 @@ import (
 	"amtlci/internal/expd"
 )
 
+// Connection timeouts. Only header reads and idle keep-alives are bounded:
+// a ReadTimeout or WriteTimeout would also cut the long-lived NDJSON
+// /jobs/{id}/stream responses.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an OS-assigned port)")
 	state := flag.String("state", "simd-state", "state directory (result cache + job checkpoint)")
@@ -47,7 +55,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("simd: %v", err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	// The listen line is the startup handshake: scripts wait for it and
 	// parse the port out of it.

@@ -7,6 +7,7 @@ import (
 
 	"amtlci/internal/core/stack"
 	"amtlci/internal/fabric"
+	"amtlci/internal/metrics"
 	"amtlci/internal/sim"
 	"amtlci/internal/stats"
 )
@@ -126,4 +127,55 @@ func TestShardedCrashConfigRejected(t *testing.T) {
 		Crashes: []fabric.NodeCrash{{Rank: 1, At: sim.Time(50 * sim.Microsecond)}},
 	}
 	stack.Build(o)
+}
+
+// TestHiCMAShardedMetricsMatchSerial extends the differential from results
+// to observability: every instrument in the shared metrics registry —
+// counters, gauge levels and high-water marks, histogram sums, means and
+// quantiles, probe readings — must read the same after a sharded run as
+// after the serial one, for both backends with stealing off and on. A
+// metric that drifted with the shard count would make per-layer reports
+// depend on how the simulation was parallelized rather than on what it
+// simulated.
+func TestHiCMAShardedMetricsMatchSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second differential")
+	}
+	snapshot := func(b stack.Backend, steal bool, shards int) map[metrics.Desc]metrics.Snapshot {
+		o := DefaultHiCMAOpts(b, 1200, 16)
+		o.N = 19200
+		o.Workers = WorkersFor(b, o.Nodes)
+		o.Steal = steal
+		o.Shards = shards
+		_, rt, _ := hicmaRun(o, 0)
+		out := make(map[metrics.Desc]metrics.Snapshot)
+		for _, s := range rt.Metrics().Snapshots() {
+			out[s.Desc] = s
+		}
+		return out
+	}
+	for _, b := range stack.Backends {
+		for _, steal := range []bool{false, true} {
+			b, steal := b, steal
+			t.Run(fmt.Sprintf("%v/steal=%v", b, steal), func(t *testing.T) {
+				serial := snapshot(b, steal, 1)
+				if len(serial) == 0 {
+					t.Fatal("serial run registered no metrics")
+				}
+				for _, shards := range []int{2, 4} {
+					got := snapshot(b, steal, shards)
+					if len(got) != len(serial) {
+						t.Errorf("shards=%d: %d metrics, serial has %d", shards, len(got), len(serial))
+					}
+					for d, want := range serial {
+						if g, ok := got[d]; !ok {
+							t.Errorf("shards=%d: %+v missing", shards, d)
+						} else if g != want {
+							t.Errorf("shards=%d: %+v diverges:\nserial:  %+v\nsharded: %+v", shards, d, want, g)
+						}
+					}
+				}
+			})
+		}
+	}
 }

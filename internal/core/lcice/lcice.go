@@ -63,17 +63,6 @@ type Config struct {
 	// paper's key structural change (§5.3.1).
 	InlineProgress bool
 
-	// NativePut uses the LCI one-sided Putd extension (the paper's §7
-	// future work) instead of the handshake-emulated put: one wire
-	// transfer, no rendezvous round, no target-side matching.
-	NativePut bool
-
-	// ProgressThreads spreads LCI progress over several dedicated threads
-	// (another §7 future-work item: "examining the benefits of using
-	// multiple communication or progress threads"). Values below 2 keep
-	// the paper's single progress thread.
-	ProgressThreads int
-
 	// Metrics is the registry the engine registers its instruments in
 	// (core.Stats counters, comm/progress-thread utilization, deferred and
 	// FIFO queue depths). Nil gets a private registry; stack.Build shares
@@ -84,12 +73,11 @@ type Config struct {
 // DefaultConfig returns the paper's configuration.
 func DefaultConfig() Config {
 	return Config{
-		CommWake:       150 * sim.Nanosecond,
-		ProgWake:       80 * sim.Nanosecond,
-		DispatchCost:   90 * sim.Nanosecond,
-		AMBatch:        5,
-		EagerPutMax:    8 << 10,
-		InlineProgress: false,
+		CommWake:     150 * sim.Nanosecond,
+		ProgWake:     80 * sim.Nanosecond,
+		DispatchCost: 90 * sim.Nanosecond,
+		AMBatch:      5,
+		EagerPutMax:  8 << 10,
 	}
 }
 
@@ -184,7 +172,6 @@ func New(eng *sim.Engine, rt *lci.Runtime, rank int, cfg Config) *Engine {
 	mreg.Probe("lcice", "bulk_queue_depth", rank, false, func() float64 { return float64(len(e.bulkQ)) })
 	e.ep.SetWake(e.scheduleProgress)
 	e.ep.SetMsgComp(lci.Handler(e.onMsg))
-	e.ep.SetRMAComp(lci.Handler(e.onRMA))
 	e.ep.SetErrHandler(func(peer int, err error) {
 		werr := fmt.Errorf("lcice rank %d: %w", rank, err)
 		var pd core.PeerDeath
@@ -195,19 +182,6 @@ func New(eng *sim.Engine, rt *lci.Runtime, rank int, cfg Config) *Engine {
 		e.fail(peer, werr)
 	})
 	return e
-}
-
-// onRMA handles a one-sided put completion at the target (progress thread):
-// the metadata carries the remote-completion tag and callback data.
-func (e *Engine) onRMA(r lci.Request) {
-	h, err := core.UnmarshalPutHeader(r.Data.Bytes)
-	if err != nil {
-		// RMA metadata only ever comes from a peer engine, so a malformed
-		// header means that peer is broken — abort, don't crash the rank.
-		e.fail(r.Rank, fmt.Errorf("lcice rank %d: bad put metadata from %d: %w", e.Rank(), r.Rank, err))
-		return
-	}
-	e.deliverRemoteCompletion(h.RTag, append([]byte(nil), h.RCBData...), r.Rank)
 }
 
 // Rank returns this engine's rank.
@@ -329,21 +303,10 @@ func (e *Engine) attempt(peer int, op func() error) {
 }
 
 // MemReg registers b for remote puts.
-func (e *Engine) MemReg(b buf.Buf) core.MemHandle {
-	if e.cfg.NativePut {
-		return e.memRegNative(b)
-	}
-	return e.reg.MemReg(b)
-}
+func (e *Engine) MemReg(b buf.Buf) core.MemHandle { return e.reg.MemReg(b) }
 
 // MemDereg releases a registration.
-func (e *Engine) MemDereg(h core.MemHandle) {
-	if e.cfg.NativePut {
-		e.memDeregNative(h)
-		return
-	}
-	e.reg.MemDereg(h)
-}
+func (e *Engine) MemDereg(h core.MemHandle) { e.reg.MemDereg(h) }
 
 // Lookup resolves a local registration.
 func (e *Engine) Lookup(h core.MemHandle) buf.Buf { return e.reg.Lookup(h) }
@@ -352,20 +315,6 @@ func (e *Engine) Lookup(h core.MemHandle) buf.Buf { return e.reg.Lookup(h) }
 // posted — LCI allocates receive buffers dynamically.
 func (e *Engine) TagReg(tag core.Tag, cb core.AMCallback, maxLen int64) {
 	e.tags.Register(tag, cb, maxLen)
-}
-
-// MemReg registers b for remote puts. With NativePut the registration is
-// also exposed to the LCI one-sided layer under the same ID, so a remote
-// rank can write it directly.
-func (e *Engine) memRegNative(b buf.Buf) core.MemHandle {
-	h := e.reg.MemReg(b)
-	e.ep.RegisterRMA(lci.RMAKey{ID: h.ID}, b)
-	return h
-}
-
-func (e *Engine) memDeregNative(h core.MemHandle) {
-	e.reg.MemDereg(h)
-	e.ep.DeregisterRMA(lci.RMAKey{ID: h.ID})
 }
 
 // Submit runs fn on the communication thread after charging cost.
@@ -414,9 +363,8 @@ func (e *Engine) eagerSend(remote, tag int, b buf.Buf) error {
 	return e.ep.Sendm(remote, tag, b)
 }
 
-// Put starts the one-sided transfer: the §5.3.3 handshake emulation by
-// default, or the true one-sided Putd when NativePut is set. Must run on
-// the communication thread.
+// Put starts the one-sided transfer with the §5.3.3 handshake emulation.
+// Must run on the communication thread.
 func (e *Engine) Put(a core.PutArgs) {
 	if e.failed != nil || e.deadPeers[a.Remote] {
 		return
@@ -425,25 +373,6 @@ func (e *Engine) Put(a core.PutArgs) {
 	e.putBytes.Add(uint64(a.Size))
 	local := e.reg.Lookup(a.LReg).Slice(a.LDispl, a.Size)
 	cfg := e.rt.Config()
-
-	if e.cfg.NativePut {
-		meta := core.PutHeader{RTag: a.RTag, RCBData: a.RCBData}.Marshal()
-		comp := lci.Handler(func(lci.Request) {
-			e.putsDone.Inc()
-			e.pushBulk(handle{run: func() {
-				if a.LocalCB != nil {
-					a.LocalCB()
-				}
-			}})
-		})
-		e.Submit(cfg.PostCost, func() {
-			e.attempt(a.Remote, func() error {
-				return e.ep.Putd(a.Remote, lci.RMAKey{ID: a.RReg.ID}, a.RDispl,
-					local, meta, comp, nil)
-			})
-		})
-		return
-	}
 
 	if a.Size <= e.cfg.EagerPutMax {
 		// Eager-data optimization: the data rides inside the handshake and
@@ -573,19 +502,12 @@ func (e *Engine) pushDeferred(peer int, fn func() error) {
 }
 
 // scheduleProgress arranges an LCI progress pass on the progress thread.
-// With ProgressThreads > 1 the pass cost is divided across the extra
-// threads — a first-order model of parallel completion-queue polling, the
-// paper's §7 future-work item.
 func (e *Engine) scheduleProgress() {
 	if e.progScheduled {
 		return
 	}
 	e.progScheduled = true
-	cost := e.ep.ProgressCost()
-	if e.cfg.ProgressThreads > 1 {
-		cost /= sim.Duration(e.cfg.ProgressThreads)
-	}
-	e.prog.Submit(cost, e.runProgress)
+	e.prog.Submit(e.ep.ProgressCost(), e.runProgress)
 }
 
 func (e *Engine) runProgress() {

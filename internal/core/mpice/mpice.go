@@ -55,13 +55,6 @@ type Config struct {
 	// receives when the caller registers with maxLen 0).
 	MaxAMLen int64
 
-	// UseRMA transports put data with MPI_Put on a dynamic window instead
-	// of the §4.2.2 two-sided emulation — the option the paper leaves as
-	// future work. Remote completion still needs an explicit notification
-	// message (standard MPI RMA cannot express it), and every registration
-	// pays the dynamic-window attach/detach costs of [25].
-	UseRMA bool
-
 	// Metrics is the registry the engine registers its instruments in
 	// (core.Stats counters, comm-thread utilization, deferred-queue and
 	// transfer-array depth, progress passes). Nil gets a private registry;
@@ -313,27 +306,11 @@ func (e *Engine) purgePending(peer int) {
 	e.pending = kept
 }
 
-// MemReg registers b for remote puts. In RMA mode the buffer is also
-// attached to the rank's dynamic window, paying the attach cost on the
-// communication thread.
-func (e *Engine) MemReg(b buf.Buf) core.MemHandle {
-	h := e.reg.MemReg(b)
-	if e.cfg.UseRMA {
-		e.rank.WinAttach(h.ID, b)
-		e.Submit(e.w.Config().AttachCost(b.Size), nil)
-	}
-	return h
-}
+// MemReg registers b for remote puts.
+func (e *Engine) MemReg(b buf.Buf) core.MemHandle { return e.reg.MemReg(b) }
 
-// MemDereg releases a registration (and detaches the window region in RMA
-// mode).
-func (e *Engine) MemDereg(h core.MemHandle) {
-	if e.cfg.UseRMA {
-		e.rank.WinDetach(h.ID)
-		e.Submit(e.w.Config().DetachCost, nil)
-	}
-	e.reg.MemDereg(h)
-}
+// MemDereg releases a registration.
+func (e *Engine) MemDereg(h core.MemHandle) { e.reg.MemDereg(h) }
 
 // Lookup resolves a local registration.
 func (e *Engine) Lookup(h core.MemHandle) buf.Buf { return e.reg.Lookup(h) }
@@ -401,11 +378,6 @@ func (e *Engine) Put(a core.PutArgs) {
 	e.putBytes.Add(uint64(a.Size))
 	local := e.reg.Lookup(a.LReg).Slice(a.LDispl, a.Size)
 
-	if e.cfg.UseRMA {
-		e.putRMA(a, local)
-		return
-	}
-
 	e.nextDataTag++
 	dataTag := dataTagBase + int(e.nextDataTag)
 
@@ -439,25 +411,6 @@ func (e *Engine) postDataSend(data buf.Buf, dst, dataTag int, localCB func(), si
 			return
 		}
 		slot.req = e.rank.Isend(data, dst, dataTag)
-		e.schedule()
-	})
-}
-
-// putRMA transports the data with MPI_Put + flush, then sends the remote
-// completion notification as an active message (which standard MPI RMA
-// cannot deliver itself).
-func (e *Engine) putRMA(a core.PutArgs, local buf.Buf) {
-	rcb := append([]byte(nil), a.RCBData...)
-	e.Submit(e.w.Config().SendCost(a.Size), func() {
-		e.rank.RmaPut(a.Remote, a.RReg.ID, a.RDispl, local, func() {
-			// Flush returned (runs during a progress pass on the
-			// communication thread): notify both sides.
-			e.putsDone.Inc()
-			e.SendAM(a.RTag, a.Remote, rcb)
-			if a.LocalCB != nil {
-				e.comm.Submit(e.cfg.DispatchCost, a.LocalCB)
-			}
-		})
 		e.schedule()
 	})
 }

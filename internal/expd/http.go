@@ -2,6 +2,7 @@ package expd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -61,10 +62,19 @@ func (s *Server) withJob(h func(http.ResponseWriter, *http.Request, string)) htt
 	}
 }
 
+// maxSpecBytes bounds a submitted spec body; a larger one is refused with
+// 413 rather than truncated into a spec the client did not send.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
 		return
 	}
 	st, fresh, err := s.Submit(body)

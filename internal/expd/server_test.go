@@ -153,6 +153,30 @@ func TestServerCacheHit(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedBody pins that a spec body over the 1 MiB limit
+// is refused with 413 and starts no job, even when its first bytes are a
+// valid spec (truncating it would accept a body the client never sent).
+func TestServerRejectsOversizedBody(t *testing.T) {
+	srv := newTestServer(t, t.TempDir())
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body := tinySpec + strings.Repeat(" ", 2<<20)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: status %d (%s), want 413", resp.StatusCode, msg)
+	}
+	if jobs := srv.List(); len(jobs) != 0 {
+		t.Fatalf("oversized submit created %d job(s)", len(jobs))
+	}
+}
+
 func TestServerCancelMidSweep(t *testing.T) {
 	srv := newTestServer(t, t.TempDir())
 	defer srv.Close()

@@ -6,6 +6,8 @@ set -eux
 
 go build ./...
 go vet ./...
+# The tree stays gofmt-clean.
+test -z "$(gofmt -l .)"
 # staticcheck is optional tooling: run it when the host has it installed,
 # skip quietly (with a note) when it does not.
 if command -v staticcheck >/dev/null 2>&1; then
@@ -14,6 +16,9 @@ else
     echo "staticcheck not installed; skipping"
 fi
 go test -race ./...
+# perfbench is a nested module (the repo benchmark) that root `./...` skips;
+# it compiles against the transport and engine APIs, so vet and test it too.
+(cd perfbench && go vet ./... && go test ./...)
 
 # Chaos smoke behind a time budget: a quick fault-sweep point per backend
 # (with and without work stealing), the severed-link abort demonstration,

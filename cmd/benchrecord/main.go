@@ -1,8 +1,10 @@
 // Command benchrecord measures the simulator's performance envelope and
 // writes it to a flat JSON file (default BENCH_sim.json): nanoseconds and
 // allocations per event on the calendar-queue engine and on the heap-backed
-// reference engine it replaced, Proc dispatch and fabric delivery costs, and
-// the wall-clock seconds of a reference HiCMA strong-scaling point.
+// reference engine it replaced, Proc dispatch and fabric delivery costs, the
+// per-message costs of the LCI communication path above the fabric (lci
+// eager and Direct messages, lcice active messages and puts), and the
+// wall-clock seconds of a reference HiCMA strong-scaling point.
 //
 // The file is one "key": value pair per line so scripts/benchcmp.sh can diff
 // two records with awk and fail CI on a >10% ns/event regression:
@@ -67,6 +69,23 @@ func main() {
 	add("fabric_ctl_allocs_per_msg", float64(ctl.AllocsPerOp()))
 	add("fabric_bulk_ns_per_msg", nsPerOp(bulk))
 	add("fabric_bulk_allocs_per_msg", float64(bulk.AllocsPerOp()))
+
+	// The LCI communication path, layer by layer: lci alone (one-way
+	// messages of a ping-pong), then lcice on top (one active message; one
+	// put op = an eager-size plus a rendezvous-size put). All four must
+	// stay allocation-free in steady state.
+	lciEager := run("lci-eager", micro.LCIEagerRoundTrip)
+	lciDirect := run("lci-direct", micro.LCIDirectRoundTrip)
+	am := run("lcice-am", micro.LCICEActiveMessage)
+	put := run("lcice-put", micro.LCICEPut)
+	add("lci_eager_ns_per_msg", nsPerOp(lciEager))
+	add("lci_eager_allocs_per_msg", float64(lciEager.AllocsPerOp()))
+	add("lci_direct_ns_per_msg", nsPerOp(lciDirect))
+	add("lci_direct_allocs_per_msg", float64(lciDirect.AllocsPerOp()))
+	add("lcice_am_ns_per_op", nsPerOp(am))
+	add("lcice_am_allocs_per_op", float64(am.AllocsPerOp()))
+	add("lcice_put_ns_per_op", nsPerOp(put))
+	add("lcice_put_allocs_per_op", float64(put.AllocsPerOp()))
 
 	// Sharded-domain series: the same synthetic event mix on sim.Parallel at
 	// 1, 4, and 8 shards. These are wall-clock numbers, so they only show a

@@ -1,7 +1,9 @@
 // Package micro holds the simulator's steady-state microbenchmarks: event
 // scheduling on the calendar-queue engine and on the heap-backed reference
 // engine (the before/after pair behind BENCH_sim.json), Proc ring-buffer
-// dispatch, and fabric delivery of virtual-payload messages.
+// dispatch, fabric delivery of virtual-payload messages, and the LCI
+// communication path above it: lci eager and Direct messages, lcice active
+// messages and puts.
 //
 // The harness bodies are exported funcs so cmd/benchrecord can run them
 // programmatically via testing.Benchmark; micro_test.go wraps the same
@@ -12,7 +14,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"amtlci/internal/buf"
+	"amtlci/internal/core"
+	"amtlci/internal/core/lcice"
 	"amtlci/internal/fabric"
+	"amtlci/internal/lci"
 	"amtlci/internal/sim"
 )
 
@@ -262,3 +268,191 @@ func FabricDeliveryCtl(b *testing.B) { benchFabric(b, 1024) }
 // FabricDeliveryBulk measures the bulk lane (64 KiB > CtlBypass): transmit
 // engine, wire, receive engine — the per-tile path of the HiCMA runs.
 func FabricDeliveryBulk(b *testing.B) { benchFabric(b, 64<<10) }
+
+// lciWarmup is the simulated time an LCI harness runs before its timer and
+// allocation counters start: dozens of revolutions of the engine's ~1.07 ms
+// calendar window. By then every pool on the LCI path has reached its
+// steady-state size, and the calendar's buckets, which grow to their own
+// peak occupancy, rarely grow further; without the warm-up those one-time
+// allocations would be spread over b.N and only round away for the large
+// b.N of an uninstrumented run, not under the race detector.
+const lciWarmup = sim.Time(40 * sim.Millisecond)
+
+// steady counts an LCI harness's ops: none until lciWarmup, then b.N.
+type steady struct {
+	b    *testing.B
+	e    *sim.Engine
+	n    int
+	warm bool
+}
+
+// next records one completed op and reports whether another is wanted.
+func (s *steady) next() bool {
+	if !s.warm {
+		if s.e.Now() >= lciWarmup {
+			s.warm = true
+			s.b.ResetTimer()
+		}
+		return true
+	}
+	s.n++
+	return s.n < s.b.N
+}
+
+// done stops the timer and fails a harness whose workload stalled.
+func (s *steady) done(what string) {
+	s.b.StopTimer()
+	if s.n < s.b.N {
+		s.b.Fatalf("completed %d of %d %s", s.n, s.b.N, what)
+	}
+}
+
+// lciPair builds a two-rank LCI runtime over a default fabric with each
+// endpoint progressed promptly from a callback bound once, like a dedicated
+// progress thread.
+func lciPair(b *testing.B) (*sim.Engine, *lci.Runtime) {
+	e := sim.NewEngine()
+	f, err := fabric.New(e, 2, fabric.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := lci.NewRuntime(e, f, lci.DefaultConfig())
+	for i := 0; i < rt.Size(); i++ {
+		progress := rt.Endpoint(i).Progress
+		rt.Endpoint(i).SetWake(func() { e.After(0, progress) })
+	}
+	return e, rt
+}
+
+// LCIEagerRoundTrip ping-pongs a 256-byte Buffered message between two
+// endpoints; each arrival is freed and answered from its handler. ns/op and
+// allocs/op are per one-way message: the packet, its payload copy, the
+// staged completions and the fabric transfer must all come from pools.
+func LCIEagerRoundTrip(b *testing.B) {
+	e, rt := lciPair(b)
+	s := &steady{b: b, e: e}
+	payload := buf.FromBytes(make([]byte, 256))
+	for i := 0; i < rt.Size(); i++ {
+		ep := rt.Endpoint(i)
+		ep.SetMsgComp(lci.Handler(func(r lci.Request) {
+			ep.Free(r)
+			if s.next() {
+				if err := ep.Sendm(r.Rank, 1, payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
+	}
+	b.ReportAllocs()
+	if err := rt.Endpoint(0).Sendm(1, 1, payload); err != nil {
+		b.Fatal(err)
+	}
+	e.Run()
+	s.done("messages")
+}
+
+// LCIDirectRoundTrip ping-pongs a 16 KiB Direct (rendezvous) transfer: the
+// receiver posts Recvd, the sender Sendd, and the receive completion starts
+// the transfer back. Per one-way message: RTS, CTS and Data packets, two
+// Direct ops and two completions, all pooled.
+func LCIDirectRoundTrip(b *testing.B) {
+	e, rt := lciPair(b)
+	s := &steady{b: b, e: e}
+	data := [2]buf.Buf{buf.FromBytes(make([]byte, 16<<10)), buf.FromBytes(make([]byte, 16<<10))}
+	var start func(src, dst int)
+	var landed [2]lci.Comp
+	for i := range landed {
+		i := i
+		landed[i] = lci.Handler(func(r lci.Request) {
+			if s.next() {
+				start(i, r.Rank)
+			}
+		})
+	}
+	start = func(src, dst int) {
+		if err := rt.Endpoint(dst).Recvd(src, 7, data[dst], landed[dst], nil); err != nil {
+			b.Fatal(err)
+		}
+		if err := rt.Endpoint(src).Sendd(dst, 7, data[src], nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	start(0, 1)
+	e.Run()
+	s.done("transfers")
+}
+
+// lcicePair builds two LCI communication engines (lcice over lci over the
+// default fabric), as stack.Build would.
+func lcicePair(b *testing.B) (*sim.Engine, [2]*lcice.Engine) {
+	e := sim.NewEngine()
+	f, err := fabric.New(e, 2, fabric.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := lci.NewRuntime(e, f, lci.DefaultConfig())
+	var engines [2]*lcice.Engine
+	for i := range engines {
+		engines[i] = lcice.New(e, rt, i, lcice.DefaultConfig())
+	}
+	return e, engines
+}
+
+// LCICEActiveMessage ping-pongs a 256-byte active message between two
+// communication engines, each callback answering from the communication
+// thread: send handle, LCI packet, progress pass, AM-FIFO handle and
+// dispatch, per message.
+func LCICEActiveMessage(b *testing.B) {
+	const tag core.Tag = 3
+	e, engines := lcicePair(b)
+	s := &steady{b: b, e: e}
+	payload := make([]byte, 256)
+	for _, ce := range engines {
+		ce.TagReg(tag, func(ce core.Engine, _ core.Tag, _ []byte, src int) {
+			if s.next() {
+				ce.SendAM(tag, src, payload)
+			}
+		}, int64(len(payload)))
+	}
+	b.ReportAllocs()
+	engines[0].SendAM(tag, 1, payload)
+	e.Run()
+	s.done("active messages")
+}
+
+// LCICEPut ping-pongs puts between two communication engines: one op is
+// one eager-size put (4 KiB, carried inside the handshake) plus one
+// rendezvous-size put (64 KiB, handshake then Direct transfer) toward the
+// peer, whose remote-completion callback, on the second landing, issues the
+// next op back.
+func LCICEPut(b *testing.B) {
+	const doneTag core.Tag = 4
+	const eager, rndv = 4 << 10, 64 << 10
+	e, engines := lcicePair(b)
+	s := &steady{b: b, e: e}
+	var src, dst [2]core.MemHandle
+	for i, ce := range engines {
+		src[i] = ce.MemReg(buf.FromBytes(make([]byte, eager+rndv)))
+		dst[i] = ce.MemReg(buf.FromBytes(make([]byte, eager+rndv)))
+	}
+	put := func(from int) {
+		ce, to := engines[from], 1-from
+		ce.Put(core.PutArgs{LReg: src[from], RReg: dst[to], Size: eager, Remote: to, RTag: doneTag})
+		ce.Put(core.PutArgs{LReg: src[from], LDispl: eager, RReg: dst[to], RDispl: eager,
+			Size: rndv, Remote: to, RTag: doneTag})
+	}
+	landed := 0
+	for i, ce := range engines {
+		i := i
+		ce.TagReg(doneTag, func(core.Engine, core.Tag, []byte, int) {
+			if landed++; landed%2 == 0 && s.next() {
+				put(i)
+			}
+		}, 0)
+	}
+	b.ReportAllocs()
+	engines[0].Submit(0, func() { put(0) })
+	e.Run()
+	s.done("put pairs")
+}

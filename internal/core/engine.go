@@ -199,40 +199,35 @@ type PutHeader struct {
 	RCBData []byte
 }
 
-// Marshal encodes h for the wire.
+// Marshal encodes h for the wire into a fresh buffer.
 func (h PutHeader) Marshal() []byte {
-	out := make([]byte, 0, 40+len(h.RCBData))
-	var tmp [8]byte
-	put32 := func(v int32) {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(v))
-		out = append(out, tmp[:4]...)
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		out = append(out, tmp[:8]...)
-	}
-	put32(h.RReg.Rank)
-	put64(h.RReg.ID)
-	put64(uint64(h.RDispl))
-	put64(uint64(h.Size))
-	put32(h.DataTag)
-	put32(int32(h.RTag))
-	put32(int32(len(h.RCBData)))
-	out = append(out, h.RCBData...)
-	return out
+	return h.AppendTo(make([]byte, 0, PutHeaderFixedBytes+len(h.RCBData)))
 }
 
-// putHeaderFixedBytes is the encoded size of a PutHeader before RCBData.
-const putHeaderFixedBytes = 4 + 8 + 8 + 8 + 4 + 4 + 4
+// AppendTo appends h's wire encoding to dst and returns the extended slice,
+// letting a caller marshal into scratch it reuses.
+func (h PutHeader) AppendTo(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.RReg.Rank))
+	dst = binary.LittleEndian.AppendUint64(dst, h.RReg.ID)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(h.RDispl))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(h.Size))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.DataTag))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.RTag))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(h.RCBData)))
+	return append(dst, h.RCBData...)
+}
+
+// PutHeaderFixedBytes is the encoded size of a PutHeader before RCBData.
+const PutHeaderFixedBytes = 4 + 8 + 8 + 8 + 4 + 4 + 4
 
 // UnmarshalPutHeader decodes a header produced by Marshal. A truncated or
 // otherwise malformed buffer yields an error, never a panic — callers decide
 // whether that is a protocol bug.
 func UnmarshalPutHeader(b []byte) (PutHeader, error) {
 	var h PutHeader
-	if len(b) < putHeaderFixedBytes {
+	if len(b) < PutHeaderFixedBytes {
 		return h, fmt.Errorf("core: put header truncated: %d bytes, need %d",
-			len(b), putHeaderFixedBytes)
+			len(b), PutHeaderFixedBytes)
 	}
 	h.RReg.Rank = int32(binary.LittleEndian.Uint32(b[0:4]))
 	h.RReg.ID = binary.LittleEndian.Uint64(b[4:12])
@@ -241,11 +236,11 @@ func UnmarshalPutHeader(b []byte) (PutHeader, error) {
 	h.DataTag = int32(binary.LittleEndian.Uint32(b[28:32]))
 	h.RTag = Tag(binary.LittleEndian.Uint32(b[32:36]))
 	n := int(int32(binary.LittleEndian.Uint32(b[36:40])))
-	if n < 0 || putHeaderFixedBytes+n > len(b) {
+	if n < 0 || PutHeaderFixedBytes+n > len(b) {
 		return h, fmt.Errorf("core: put header callback data length %d exceeds %d remaining bytes",
-			n, len(b)-putHeaderFixedBytes)
+			n, len(b)-PutHeaderFixedBytes)
 	}
-	h.RCBData = b[putHeaderFixedBytes : putHeaderFixedBytes+n]
+	h.RCBData = b[PutHeaderFixedBytes : PutHeaderFixedBytes+n]
 	return h, nil
 }
 

@@ -111,6 +111,21 @@ type Engine struct {
 	progScheduled  bool
 	nextDataTag    int32
 
+	// Callbacks the engine schedules over and over, bound once in New.
+	runProgressFn, drainFn, scheduleDrainFn func()
+	// putSent completes a rendezvous put's Direct send (progress thread);
+	// the request's user context is the put's local callback.
+	putSent lci.Comp
+
+	// Free lists of the per-message operation objects (ops.go).
+	freeAMSends  []*amSend
+	freeAMRecvs  []*amRecv
+	freePuts     []*putSend
+	freePutRecvs []*putRecv
+	// spare is the deferred queue's second buffer: a drain pass collects
+	// the deferrals issued during it here, then swaps.
+	spare []deferredOp
+
 	// core.Stats counters (metrics registry, layer "lcice").
 	amsSent, amsDelivered    *metrics.Counter
 	putsStarted, putsDone    *metrics.Counter
@@ -138,6 +153,10 @@ func New(eng *sim.Engine, rt *lci.Runtime, rank int, cfg Config) *Engine {
 	if cfg.AMBatch <= 0 {
 		panic("lcice: AMBatch must be positive")
 	}
+	if hs, max := core.PutHeaderFixedBytes+cfg.EagerPutMax, rt.Config().BufferedMax; hs > max {
+		panic(fmt.Sprintf("lcice: EagerPutMax %d makes a %d-byte put handshake, over the LCI BufferedMax %d",
+			cfg.EagerPutMax, hs, max))
+	}
 	mreg := cfg.Metrics
 	if mreg == nil {
 		mreg = metrics.New()
@@ -158,6 +177,14 @@ func New(eng *sim.Engine, rt *lci.Runtime, rank int, cfg Config) *Engine {
 		putBytes:       mreg.Counter("lcice", "put_bytes", rank),
 		deferredEvents: mreg.Counter("lcice", "deferred", rank),
 	}
+	e.runProgressFn, e.drainFn, e.scheduleDrainFn = e.runProgress, e.drain, e.scheduleDrain
+	e.putSent = lci.Handler(func(r lci.Request) {
+		// Only push the callback handle to the bulk FIFO (§5.3.3); a nil
+		// callback still pays its dispatch turn.
+		e.putsDone.Inc()
+		localCB, _ := r.UserCtx.(func())
+		e.pushBulk(handle{run: localCB})
+	})
 	e.comm.WakeLatency = cfg.CommWake
 	if cfg.InlineProgress {
 		e.prog = e.comm
@@ -323,37 +350,17 @@ func (e *Engine) Submit(cost sim.Duration, fn func()) { e.comm.Submit(cost, fn) 
 // SendAM sends an active message using the Immediate or Buffered protocol
 // depending on length (§5.3.2), from the communication thread.
 func (e *Engine) SendAM(tag core.Tag, remote int, data []byte) {
-	b := buf.FromBytes(data)
-	e.Submit(e.rt.Config().SendCost(b.Size), func() {
-		if e.failed != nil || e.deadPeers[remote] {
-			return
-		}
-		e.sendEagerWithRetry(remote, int(tag), b)
-		e.amsSent.Inc()
-	})
+	op := e.newAMSend(remote, int(tag), data, nil)
+	e.Submit(e.rt.Config().SendCost(op.b.Size), op.run)
 }
 
 // SendAMMT sends an active message directly from a worker thread. LCI is
 // designed for concurrent callers, so the only extra cost is an atomic
 // packet reservation — no global lock (§6.4.3).
 func (e *Engine) SendAMMT(worker *sim.Proc, tag core.Tag, remote int, data []byte, done func()) {
-	b := buf.FromBytes(data)
+	op := e.newAMSend(remote, int(tag), data, done)
 	cfg := e.rt.Config()
-	worker.Submit(cfg.SendCost(b.Size)+cfg.MTSendCost, func() {
-		if e.failed == nil && !e.deadPeers[remote] {
-			e.sendEagerWithRetry(remote, int(tag), b)
-			e.amsSent.Inc()
-		}
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// sendEagerWithRetry issues an Immediate/Buffered send, deferring to the
-// communication thread's retry queue on back-pressure.
-func (e *Engine) sendEagerWithRetry(remote, tag int, b buf.Buf) {
-	e.attempt(remote, func() error { return e.eagerSend(remote, tag, b) })
+	worker.Submit(cfg.SendCost(op.b.Size)+cfg.MTSendCost, op.run)
 }
 
 func (e *Engine) eagerSend(remote, tag int, b buf.Buf) error {
@@ -377,56 +384,21 @@ func (e *Engine) Put(a core.PutArgs) {
 	if a.Size <= e.cfg.EagerPutMax {
 		// Eager-data optimization: the data rides inside the handshake and
 		// the local completion fires as soon as the send is posted.
-		hdr := core.PutHeader{
-			RReg: a.RReg, RDispl: a.RDispl, Size: a.Size,
-			DataTag: inlineDataTag, RTag: a.RTag, RCBData: a.RCBData,
-		}.Marshal()
-		hb := buf.FromBytes(hdr)
-		e.Submit(cfg.SendCost(hb.Size+a.Size), func() {
-			e.attempt(a.Remote, func() error {
-				if err := e.ep.Sendmx(a.Remote, hsTag, hb, local); err != nil {
-					return err
-				}
-				e.finishEagerPut(a.LocalCB)
-				return nil
-			})
-		})
+		op := e.newPutSend(a, local, inlineDataTag, 1)
+		e.Submit(cfg.SendCost(int64(len(op.hdr))+a.Size), op.sendEager)
 		return
 	}
 
 	e.nextDataTag++
-	dataTag := dataTagBase + int(e.nextDataTag)
-	hdr := core.PutHeader{
-		RReg: a.RReg, RDispl: a.RDispl, Size: a.Size,
-		DataTag: int32(dataTag), RTag: a.RTag, RCBData: a.RCBData,
-	}.Marshal()
-	hb := buf.FromBytes(hdr)
-	e.Submit(cfg.SendCost(hb.Size), func() {
-		e.attempt(a.Remote, func() error { return e.ep.Sendm(a.Remote, hsTag, hb) })
-	})
-	// Completion handler runs on the progress thread; it only pushes the
-	// callback handle to the bulk FIFO (§5.3.3).
-	comp := lci.Handler(func(lci.Request) {
-		e.putsDone.Inc()
-		e.pushBulk(handle{run: func() {
-			if a.LocalCB != nil {
-				a.LocalCB()
-			}
-		}})
-	})
-	e.Submit(cfg.PostCost, func() {
-		e.attempt(a.Remote, func() error { return e.ep.Sendd(a.Remote, dataTag, local, comp, nil) })
-	})
+	op := e.newPutSend(a, local, dataTagBase+int(e.nextDataTag), 2)
+	e.Submit(cfg.SendCost(int64(len(op.hdr))), op.sendHandshake)
+	e.Submit(cfg.PostCost, op.sendData)
 }
 
 func (e *Engine) finishEagerPut(localCB func()) {
 	e.putsDone.Inc()
 	if localCB != nil {
-		e.comm.Submit(0, func() {
-			if localCB != nil {
-				localCB()
-			}
-		})
+		e.comm.Submit(0, localCB)
 	}
 }
 
@@ -434,22 +406,23 @@ func (e *Engine) finishEagerPut(localCB func()) {
 // dynamically-buffered arrival: user active messages and put handshakes.
 func (e *Engine) onMsg(r lci.Request) {
 	if r.Tag != hsTag {
-		// User AM: allocate a callback handle and push it to the AM FIFO
+		// User AM: take a callback handle and push it to the AM FIFO
 		// (§5.3.2). The hash-table lookup happens here, on the progress
-		// thread, so the communication thread only dispatches.
+		// thread, so the communication thread only dispatches. The handle
+		// holds r, and with it the LCI packet, until the callback returns.
 		tag := core.Tag(r.Tag)
 		cb, _ := e.tags.Lookup(tag)
-		data := r.Data.Bytes
-		src := r.Rank
 		e.amsDelivered.Inc()
-		e.pushAM(handle{run: func() { cb(e, tag, data, src) }})
+		e.pushAM(handle{run: e.newAMRecv(cb, tag, r).run})
 		return
 	}
 
 	// Put handshake: specialized path bypassing the AM hash table (§5.3.3).
-	// A handshake from an evicted peer is dropped — its data transfer will
-	// never arrive (the fabric silenced the rank), so posting the matching
-	// receive would dangle forever.
+	// Everything needed later is copied out, so the packet goes straight
+	// back. A handshake from an evicted peer is dropped — its data transfer
+	// will never arrive (the fabric silenced the rank), so posting the
+	// matching receive would dangle forever.
+	defer e.ep.Free(r)
 	if e.deadPeers[r.Rank] {
 		return
 	}
@@ -458,32 +431,26 @@ func (e *Engine) onMsg(r lci.Request) {
 		e.fail(r.Rank, fmt.Errorf("lcice rank %d: bad put handshake from %d: %w", e.Rank(), r.Rank, err))
 		return
 	}
-	target := e.reg.Lookup(h.RReg).Slice(h.RDispl, h.Size)
-	src := r.Rank
-	rcb := append([]byte(nil), h.RCBData...)
+	op := e.newPutRecv(r.Rank, h)
 
 	if h.DataTag == inlineDataTag {
 		// Data arrived inside the handshake.
-		buf.Copy(target, r.Extra)
-		e.deliverRemoteCompletion(h.RTag, rcb, src)
+		buf.Copy(op.target, r.Extra)
+		e.deliverRemoteCompletion(op)
 		return
 	}
 
 	// §5.3.3: on back-pressure the progress thread must not spin or recurse
 	// into progress; attempt delegates the post to the communication
 	// thread's retry queue (and keeps it FIFO with earlier deferrals).
-	e.attempt(src, func() error {
-		return e.ep.Recvd(src, int(h.DataTag), target, lci.Handler(func(lci.Request) {
-			e.deliverRemoteCompletion(h.RTag, rcb, src)
-		}), nil)
-	})
+	e.attempt(op.src, op.postRecv)
 }
 
 // deliverRemoteCompletion pushes the remote-completion callback handle to
 // the bulk FIFO for the communication thread.
-func (e *Engine) deliverRemoteCompletion(rtag core.Tag, rcbData []byte, src int) {
-	cb, _ := e.tags.Lookup(rtag)
-	e.pushBulk(handle{run: func() { cb(e, rtag, rcbData, src) }})
+func (e *Engine) deliverRemoteCompletion(op *putRecv) {
+	op.cb, _ = e.tags.Lookup(op.rtag)
+	e.pushBulk(handle{run: op.run})
 }
 
 func (e *Engine) pushAM(h handle) {
@@ -507,7 +474,7 @@ func (e *Engine) scheduleProgress() {
 		return
 	}
 	e.progScheduled = true
-	e.prog.Submit(e.ep.ProgressCost(), e.runProgress)
+	e.prog.Submit(e.ep.ProgressCost(), e.runProgressFn)
 }
 
 func (e *Engine) runProgress() {
@@ -524,7 +491,7 @@ func (e *Engine) scheduleDrain() {
 		return
 	}
 	e.drainScheduled = true
-	e.comm.Submit(0, e.drain)
+	e.comm.Submit(0, e.drainFn)
 }
 
 // drain implements the §5.3.4 fairness loop: up to AMBatch active-message
@@ -549,14 +516,29 @@ func (e *Engine) drain() {
 	}
 	e.bulkQ = e.bulkQ[:0]
 
-	// Retry deferred operations in arrival order. Snapshot first: a retried
-	// operation may itself defer follow-up work (pushDeferred during fn),
-	// and that new work must land BEHIND the still-unsatisfied retries —
-	// rebuilding the queue as [failed retries, then new deferrals] keeps it
-	// FIFO by first-deferral time. A non-back-pressure error aborts.
+	e.retryDeferred()
+
+	if len(e.amQ) > 0 || len(e.bulkQ) > 0 {
+		// Loop: queue another pass behind the dispatched callbacks.
+		e.scheduleDrain()
+	} else if len(e.deferred) > 0 {
+		// Nothing dispatchable but retries remain: try again shortly rather
+		// than spinning (resources free when completions arrive, which
+		// wakes us anyway; this is a safety net).
+		e.eng.After(sim.Microsecond, e.scheduleDrainFn)
+	}
+}
+
+// retryDeferred retries deferred operations in arrival order. A retried
+// operation may itself defer follow-up work (pushDeferred during fn), and
+// that new work must land BEHIND the still-unsatisfied retries: the pass
+// compacts the failed retries in place while new deferrals collect in the
+// spare buffer, then appends them, which keeps the queue FIFO by
+// first-deferral time without allocating. A non-back-pressure error aborts.
+func (e *Engine) retryDeferred() {
 	pend := e.deferred
-	e.deferred = nil
-	var kept []deferredOp
+	e.deferred, e.spare = e.spare[:0], nil
+	kept := pend[:0]
 	for _, op := range pend {
 		if e.failed != nil {
 			break
@@ -569,17 +551,15 @@ func (e *Engine) drain() {
 			}
 		}
 	}
-	if e.failed == nil {
-		e.deferred = append(kept, e.deferred...)
+	fresh := e.deferred
+	if e.failed != nil {
+		// The failure purged fresh; the unfinished snapshot is abandoned.
+		clear(pend)
+		e.spare = pend[:0]
+		return
 	}
-
-	if len(e.amQ) > 0 || len(e.bulkQ) > 0 {
-		// Loop: queue another pass behind the dispatched callbacks.
-		e.scheduleDrain()
-	} else if len(e.deferred) > 0 {
-		// Nothing dispatchable but retries remain: try again shortly rather
-		// than spinning (resources free when completions arrive, which
-		// wakes us anyway; this is a safety net).
-		e.eng.After(sim.Microsecond, e.scheduleDrain)
-	}
+	clear(pend[len(kept):])
+	e.deferred = append(kept, fresh...)
+	clear(fresh)
+	e.spare = fresh[:0]
 }

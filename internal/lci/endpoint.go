@@ -16,6 +16,19 @@ type Runtime struct {
 	cfg Config
 	eps []*Endpoint
 	reg *metrics.Registry
+	// pools holds one set of free lists per shard of dom.
+	pools []pool
+}
+
+// pool is one shard's free lists of packets and Direct ops, shared by the
+// shard's endpoints. Sharing matters for memory: per-endpoint lists would
+// each retain their endpoint's own peak, a shared one only the shard's peak
+// concurrency — on the 256-rank HiCMA reference run, 255 packets instead
+// of the 5275 that per-endpoint lists keep. Only the shard's goroutine
+// touches its pool.
+type pool struct {
+	pkts []*packet
+	ops  []*directOp
 }
 
 // NewRuntime attaches one Endpoint per fabric port. fab may be the raw
@@ -27,11 +40,11 @@ func NewRuntime(dom sim.Domain, fab fabric.Network, cfg Config) *Runtime {
 	if reg == nil {
 		reg = metrics.New()
 	}
-	rt := &Runtime{dom: dom, fab: fab, cfg: cfg, reg: reg}
+	rt := &Runtime{dom: dom, fab: fab, cfg: cfg, reg: reg, pools: make([]pool, dom.Shards())}
 	rt.eps = make([]*Endpoint, fab.Ranks())
 	for i := range rt.eps {
 		ep := &Endpoint{
-			rt: rt, me: i,
+			rt: rt, me: i, pool: &rt.pools[dom.ShardOf(i)],
 			sent:          reg.Counter("lci", "sent", i),
 			received:      reg.Counter("lci", "received", i),
 			retries:       reg.Counter("lci", "retries", i),
@@ -39,6 +52,7 @@ func NewRuntime(dom sim.Domain, fab fabric.Network, cfg Config) *Runtime {
 			packets:       reg.Gauge("lci", "packets_in_flight", i),
 			direct:        reg.Gauge("lci", "direct_in_flight", i),
 		}
+		ep.pktDone = func() { ep.stage(event{kind: kindPktDone}) }
 		reg.Probe("lci", "cq_depth", i, false, func() float64 { return float64(len(ep.staged)) })
 		rt.eps[i] = ep
 		fab.SetHandler(i, ep.onArrival)
@@ -75,18 +89,39 @@ const (
 	kindPktDone                 // local: immediate/buffered packet released
 )
 
+// packet is one LCI wire message. It embeds the fabric.Message that carries
+// it (Meta points back at the packet), so a send allocates nothing once the
+// sender's shard pool is warm.
+//
+// A packet is taken from its sender's shard pool and released by the
+// endpoint it was sent to, at the point its use ends: an RTS once its CTS is
+// sent, a CTS once its Data is sent, a Data packet once its payload is
+// copied out, and a message arrival when its consumer calls Free. Release
+// returns the packet to the pool only when both ranks live on the same
+// shard; a cross-shard packet is released on the destination shard, where
+// touching the sender's pool would race, so it is left to the GC (fabric's
+// xfer follows the same rule). remote caches that decision.
 type packet struct {
+	fabric.Message
+
 	kind    lciKind
-	src     int
 	tag     int
-	size    int64
+	size    int64 // payload bytes (RTS/CTS: the Direct transfer's size)
 	payload buf.Buf
 	extra   buf.Buf   // second iovec segment (Sendmx)
 	sctx    *directOp // sender-side direct operation
 	rctx    *directOp // receiver-side direct operation
+
+	pool   *pool  // the sender's shard pool, which takes the packet back
+	remote bool   // sender and destination on different shards
+	gen    uint32 // bumped on every release; see Request.gen
+	// Reused backing storage for the copies of payload and extra.
+	pbytes, xbytes []byte
 }
 
-// directOp tracks one posted Direct send or receive.
+// directOp tracks one posted Direct send or receive. Both ends of an op's
+// life run on its endpoint, which takes it from and returns it to the
+// shard pool.
 type directOp struct {
 	ep      *Endpoint
 	tag     int
@@ -94,6 +129,15 @@ type directOp struct {
 	b       buf.Buf
 	comp    Comp
 	userCtx any
+	onTx    func() // Data egress done: stage the send completion; bound once
+}
+
+// event is one unit of staged Progress work: an arrival (p) or a local
+// completion (kindSendDone with op, kindPktDone).
+type event struct {
+	kind lciKind
+	p    *packet
+	op   *directOp
 }
 
 // AnyRank matches a Direct receive against any peer.
@@ -105,11 +149,16 @@ type Endpoint struct {
 	rt *Runtime
 	me int
 
-	staged []*packet // arrivals awaiting Progress
+	// staged holds work awaiting Progress; Progress swaps it with spare so
+	// neither slice is regrown in steady state.
+	staged, spare []event
 
 	// Receiver-side Direct state.
 	postedRecv []*directOp
 	pendingRTS []*packet // RTSes with no matching posted receive yet
+
+	pool    *pool  // this rank's shard pool
+	pktDone func() // OnTx of every eager packet; bound once
 
 	// Resource accounting for back-pressure: packet-pool occupancy and
 	// posted Direct operations, kept as gauges so occupancy and high-water
@@ -142,7 +191,8 @@ func (ep *Endpoint) Retries() uint64 { return ep.retries.Value() }
 func (ep *Endpoint) ID() int { return ep.me }
 
 // SetMsgComp installs the completion target for dynamically-allocated
-// short/medium message arrivals.
+// short/medium message arrivals. The consumer passes each such Request to
+// Free once it is done with Data and Extra.
 func (ep *Endpoint) SetMsgComp(c Comp) { ep.msgComp = c }
 
 // SetWake installs a callback invoked when new progress work appears.
@@ -166,33 +216,91 @@ func (ep *Endpoint) deliverErr(peer int, err error) {
 	ep.errFn(peer, err)
 }
 
-func (ep *Endpoint) onArrival(m *fabric.Message) { ep.stage(m.Meta.(*packet)) }
+func (ep *Endpoint) onArrival(m *fabric.Message) {
+	p := m.Meta.(*packet)
+	ep.stage(event{kind: p.kind, p: p})
+}
 
-func (ep *Endpoint) stage(p *packet) {
+func (ep *Endpoint) stage(ev event) {
 	wasEmpty := len(ep.staged) == 0
-	ep.staged = append(ep.staged, p)
+	ep.staged = append(ep.staged, ev)
 	if wasEmpty {
 		ep.notify()
 	}
+}
+
+// newPacket takes a packet from the pool and addresses it to dst. wire is
+// the message's size on the wire.
+func (ep *Endpoint) newPacket(kind lciKind, dst, tag int, size, wire int64) *packet {
+	var p *packet
+	if n := len(ep.pool.pkts); n > 0 {
+		p = ep.pool.pkts[n-1]
+		ep.pool.pkts[n-1] = nil
+		ep.pool.pkts = ep.pool.pkts[:n-1]
+	} else {
+		p = &packet{pool: ep.pool}
+	}
+	p.Message = fabric.Message{Src: ep.me, Dst: dst, Size: wire, Meta: p}
+	p.kind, p.tag, p.size = kind, tag, size
+	p.remote = ep.rt.dom.ShardOf(ep.me) != ep.rt.dom.ShardOf(dst)
+	return p
+}
+
+// release ends p's use (see packet). It runs on the destination's shard.
+func (p *packet) release() {
+	p.gen++
+	p.Message = fabric.Message{}
+	p.payload, p.extra = buf.Buf{}, buf.Buf{}
+	p.sctx, p.rctx = nil, nil
+	if !p.remote {
+		p.pool.pkts = append(p.pool.pkts, p)
+	}
+}
+
+// keep copies b into store, reusing its capacity, and returns the copy and
+// the (possibly grown) store. Virtual buffers carry no bytes to copy.
+func keep(b buf.Buf, store []byte) (buf.Buf, []byte) {
+	if b.IsVirtual() {
+		return b, store
+	}
+	if store == nil || cap(store) < len(b.Bytes) {
+		store = make([]byte, len(b.Bytes))
+	}
+	store = store[:len(b.Bytes)]
+	copy(store, b.Bytes)
+	return buf.FromBytes(store), store
+}
+
+// Free hands a message arrival's packet back for reuse: the analogue of
+// LCI_mbuffer_free. r must be a Request delivered to the SetMsgComp target;
+// its Data and Extra must not be touched afterwards. An arrival nobody frees
+// is reclaimed by the garbage collector instead. Freeing a Request twice, or
+// freeing a Direct or send completion, panics: only a bug reaches either.
+func (ep *Endpoint) Free(r Request) {
+	p := r.pkt
+	if p == nil {
+		panic("lci: Free of a completion that holds no packet")
+	}
+	if p.gen != r.gen {
+		panic("lci: Request freed twice")
+	}
+	if p.Dst != ep.me {
+		panic(fmt.Sprintf("lci: rank %d freeing a packet delivered to rank %d", ep.me, p.Dst))
+	}
+	p.release()
 }
 
 // Sends transmits an Immediate message: at most ImmediateMax bytes, inline
 // from the user buffer, fire-and-forget. The caller charges
 // Config.SendCost(n).
 func (ep *Endpoint) Sends(dst, tag int, b buf.Buf) error {
-	if b.Size > ep.rt.cfg.ImmediateMax {
-		panic(fmt.Sprintf("lci: Sends payload %d exceeds immediate max %d", b.Size, ep.rt.cfg.ImmediateMax))
-	}
-	return ep.eagerSend(dst, tag, b)
+	return ep.eager("Sends", "immediate", ep.rt.cfg.ImmediateMax, dst, tag, b, buf.Buf{})
 }
 
 // Sendm transmits a Buffered message: at most BufferedMax bytes, copied into
 // a registered packet. The caller charges Config.SendCost(n).
 func (ep *Endpoint) Sendm(dst, tag int, b buf.Buf) error {
-	if b.Size > ep.rt.cfg.BufferedMax {
-		panic(fmt.Sprintf("lci: Sendm payload %d exceeds buffered max %d", b.Size, ep.rt.cfg.BufferedMax))
-	}
-	return ep.eagerSend(dst, tag, b)
+	return ep.eager("Sendm", "buffered", ep.rt.cfg.BufferedMax, dst, tag, b, buf.Buf{})
 }
 
 // Sendmx transmits a Buffered message with two segments — a header and an
@@ -202,9 +310,16 @@ func (ep *Endpoint) Sendm(dst, tag int, b buf.Buf) error {
 // then it can be sent eagerly inside the handshake message"). The caller
 // charges Config.SendCost(header.Size + extra.Size).
 func (ep *Endpoint) Sendmx(dst, tag int, header, extra buf.Buf) error {
-	if header.Size+extra.Size > ep.rt.cfg.BufferedMax {
-		panic(fmt.Sprintf("lci: Sendmx payload %d exceeds buffered max %d",
-			header.Size+extra.Size, ep.rt.cfg.BufferedMax))
+	return ep.eager("Sendmx", "buffered", ep.rt.cfg.BufferedMax, dst, tag, header, extra)
+}
+
+// eager is the one Immediate/Buffered send path: both segments are copied
+// into a pooled packet, so the caller may reuse its buffers as
+// soon as the call returns.
+func (ep *Endpoint) eager(call, proto string, max int64, dst, tag int, header, extra buf.Buf) error {
+	n := header.Size + extra.Size
+	if n > max {
+		panic(fmt.Sprintf("lci: %s payload %d exceeds %s max %d", call, n, proto, max))
 	}
 	if ep.packets.Value() >= int64(ep.rt.cfg.SendPackets) {
 		ep.retries.Inc()
@@ -212,37 +327,37 @@ func (ep *Endpoint) Sendmx(dst, tag int, header, extra buf.Buf) error {
 	}
 	ep.packets.Add(1)
 	ep.sent.Inc()
-	ep.rt.fab.Send(&fabric.Message{
-		Src: ep.me, Dst: dst, Size: header.Size + extra.Size + ep.rt.cfg.HeaderBytes,
-		Meta: &packet{kind: kindMsg, src: ep.me, tag: tag, size: header.Size + extra.Size,
-			payload: snapshot(header), extra: snapshot(extra)},
-		OnTx: func() { ep.stage(&packet{kind: kindPktDone}) },
-	})
+	p := ep.newPacket(kindMsg, dst, tag, n, n+ep.rt.cfg.HeaderBytes)
+	p.payload, p.pbytes = keep(header, p.pbytes)
+	p.extra, p.xbytes = keep(extra, p.xbytes)
+	p.OnTx = ep.pktDone
+	ep.rt.fab.Send(&p.Message)
 	return nil
 }
 
-func snapshot(b buf.Buf) buf.Buf {
-	if b.IsVirtual() {
-		return b
+// newOp takes a Direct op from the pool.
+func (ep *Endpoint) newOp(tag, peer int, b buf.Buf, comp Comp, userCtx any) *directOp {
+	var op *directOp
+	if n := len(ep.pool.ops); n > 0 {
+		op = ep.pool.ops[n-1]
+		ep.pool.ops[n-1] = nil
+		ep.pool.ops = ep.pool.ops[:n-1]
+	} else {
+		op = &directOp{}
+		op.onTx = func() { op.ep.stage(event{kind: kindSendDone, op: op}) }
 	}
-	c := make([]byte, b.Size)
-	copy(c, b.Bytes)
-	return buf.FromBytes(c)
+	op.ep, op.tag, op.peer, op.b, op.comp, op.userCtx = ep, tag, peer, b, comp, userCtx
+	return op
 }
 
-func (ep *Endpoint) eagerSend(dst, tag int, b buf.Buf) error {
-	if ep.packets.Value() >= int64(ep.rt.cfg.SendPackets) {
-		ep.retries.Inc()
-		return ErrRetry
-	}
-	ep.packets.Add(1)
-	ep.sent.Inc()
-	ep.rt.fab.Send(&fabric.Message{
-		Src: ep.me, Dst: dst, Size: b.Size + ep.rt.cfg.HeaderBytes,
-		Meta: &packet{kind: kindMsg, src: ep.me, tag: tag, size: b.Size, payload: snapshot(b)},
-		OnTx: func() { ep.stage(&packet{kind: kindPktDone}) },
-	})
-	return nil
+// finish retires op and returns its completion descriptor; the op goes back
+// to the pool before the completion is delivered, so a handler that posts
+// again reuses it.
+func (ep *Endpoint) finish(op *directOp, rank int) (Comp, Request) {
+	comp, r := op.comp, Request{Rank: rank, Tag: op.tag, Data: op.b, UserCtx: op.userCtx}
+	op.b, op.comp, op.userCtx = buf.Buf{}, nil, nil
+	ep.pool.ops = append(ep.pool.ops, op)
+	return comp, r
 }
 
 // Sendd posts a Direct (RDMA rendezvous) send of any length. comp receives a
@@ -255,11 +370,9 @@ func (ep *Endpoint) Sendd(dst, tag int, b buf.Buf, comp Comp, userCtx any) error
 	}
 	ep.direct.Add(1)
 	ep.sent.Inc()
-	op := &directOp{ep: ep, tag: tag, peer: dst, b: b, comp: comp, userCtx: userCtx}
-	ep.rt.fab.Send(&fabric.Message{
-		Src: ep.me, Dst: dst, Size: ep.rt.cfg.CtrlBytes,
-		Meta: &packet{kind: kindRTS, src: ep.me, tag: tag, size: b.Size, sctx: op},
-	})
+	p := ep.newPacket(kindRTS, dst, tag, b.Size, ep.rt.cfg.CtrlBytes)
+	p.sctx = ep.newOp(tag, dst, b, comp, userCtx)
+	ep.rt.fab.Send(&p.Message)
 	return nil
 }
 
@@ -274,7 +387,7 @@ func (ep *Endpoint) Recvd(src, tag int, b buf.Buf, comp Comp, userCtx any) error
 		return ErrRetry
 	}
 	ep.direct.Add(1)
-	op := &directOp{ep: ep, tag: tag, peer: src, b: b, comp: comp, userCtx: userCtx}
+	op := ep.newOp(tag, src, b, comp, userCtx)
 	// Match an already-arrived RTS first.
 	for i, p := range ep.pendingRTS {
 		if matchDirect(op, p) {
@@ -288,23 +401,25 @@ func (ep *Endpoint) Recvd(src, tag int, b buf.Buf, comp Comp, userCtx any) error
 }
 
 func matchDirect(op *directOp, p *packet) bool {
-	return (op.peer == AnyRank || op.peer == p.src) && op.tag == p.tag
+	return (op.peer == AnyRank || op.peer == p.Src) && op.tag == p.tag
 }
 
+// sendCTS answers rts, which is released: the CTS carries everything the
+// sender still needs.
 func (ep *Endpoint) sendCTS(op *directOp, rts *packet) {
-	ep.rt.fab.Send(&fabric.Message{
-		Src: ep.me, Dst: rts.src, Size: ep.rt.cfg.CtrlBytes,
-		Meta: &packet{kind: kindCTS, src: ep.me, tag: rts.tag, size: rts.size, sctx: rts.sctx, rctx: op},
-	})
+	p := ep.newPacket(kindCTS, rts.Src, rts.tag, rts.size, ep.rt.cfg.CtrlBytes)
+	p.sctx, p.rctx = rts.sctx, op
+	ep.rt.fab.Send(&p.Message)
+	rts.release()
 }
 
 // ProgressCost prices the work currently staged for one Progress pass.
 func (ep *Endpoint) ProgressCost() sim.Duration {
 	d := ep.rt.cfg.ProgressBase
-	for _, p := range ep.staged {
-		switch p.kind {
+	for _, ev := range ep.staged {
+		switch ev.kind {
 		case kindMsg:
-			d += ep.rt.cfg.PerCompletion + ep.rt.cfg.copyCost(p.size)
+			d += ep.rt.cfg.PerCompletion + ep.rt.cfg.copyCost(ev.p.size)
 		case kindRTS, kindCTS, kindData:
 			d += ep.rt.cfg.MatchCost + ep.rt.cfg.PerCompletion
 		case kindSendDone, kindPktDone:
@@ -326,12 +441,15 @@ func (ep *Endpoint) StagedWork() bool { return len(ep.staged) > 0 }
 func (ep *Endpoint) Progress() {
 	ep.progressCalls.Inc()
 	staged := ep.staged
-	ep.staged = nil
-	for _, p := range staged {
-		switch p.kind {
+	// Work staged during this pass lands in the spare slice. spare is nil
+	// until the pass ends, so a re-entrant Progress cannot alias staged.
+	ep.staged, ep.spare = ep.spare[:0], nil
+	for _, ev := range staged {
+		p := ev.p
+		switch ev.kind {
 		case kindMsg:
 			ep.received.Inc()
-			deliver(ep.msgComp, Request{Rank: p.src, Tag: p.tag, Data: p.payload, Extra: p.extra})
+			deliver(ep.msgComp, Request{Rank: p.Src, Tag: p.tag, Data: p.payload, Extra: p.extra, pkt: p, gen: p.gen})
 		case kindRTS:
 			if op := ep.findPostedRecv(p); op != nil {
 				ep.sendCTS(op, p)
@@ -340,25 +458,28 @@ func (ep *Endpoint) Progress() {
 			}
 		case kindCTS:
 			sctx := p.sctx
-			ep.rt.fab.Send(&fabric.Message{
-				Src: ep.me, Dst: p.src, Size: sctx.b.Size + ep.rt.cfg.HeaderBytes,
-				Meta: &packet{kind: kindData, src: ep.me, tag: p.tag, size: sctx.b.Size, payload: sctx.b, rctx: p.rctx},
-				OnTx: func() { ep.stage(&packet{kind: kindSendDone, sctx: sctx}) },
-			})
+			d := ep.newPacket(kindData, p.Src, p.tag, sctx.b.Size, sctx.b.Size+ep.rt.cfg.HeaderBytes)
+			d.payload, d.rctx = sctx.b, p.rctx
+			d.OnTx = sctx.onTx
+			ep.rt.fab.Send(&d.Message)
+			p.release()
 		case kindData:
 			op := p.rctx
 			ep.received.Inc()
 			ep.direct.Add(-1)
 			buf.Copy(op.b, p.payload)
-			deliver(op.comp, Request{Rank: p.src, Tag: p.tag, Data: op.b, UserCtx: op.userCtx})
+			src := p.Src
+			p.release()
+			deliver(ep.finish(op, src))
 		case kindSendDone:
-			op := p.sctx
 			ep.direct.Add(-1)
-			deliver(op.comp, Request{Rank: op.peer, Tag: op.tag, Data: op.b, UserCtx: op.userCtx})
+			deliver(ep.finish(ev.op, ev.op.peer))
 		case kindPktDone:
 			ep.packets.Add(-1)
 		}
 	}
+	clear(staged)
+	ep.spare = staged[:0]
 }
 
 func (ep *Endpoint) findPostedRecv(p *packet) *directOp {

@@ -14,7 +14,9 @@
 //     handler functions invoked from the explicit Progress call — no
 //     per-request polling arrays (§5.2);
 //   - receiver-side dynamic buffer allocation for unexpected short/medium
-//     messages, so no persistent receives or message probing are needed;
+//     messages, so no persistent receives or message probing are needed:
+//     an arrival is delivered in the sender's packet, which the consumer
+//     hands back with Endpoint.Free (LCI_mbuffer_free) once it is done;
 //   - a cost model substantially leaner than MPI's: completions cost O(work
 //     completed), not O(requests outstanding).
 //
@@ -114,12 +116,21 @@ func (c Config) SendCost(n int64) sim.Duration {
 
 // Request is the completion descriptor delivered to synchronizers, queues,
 // and handlers (LCI_request_t).
+//
+// A message arrival (Immediate or Buffered, delivered to the SetMsgComp
+// target) carries Data and Extra in a pooled packet that the Request holds
+// until Endpoint.Free returns it; afterwards both buffers may be reused for
+// another message. A Direct or send completion holds no packet and must not
+// be freed.
 type Request struct {
 	Rank    int     // peer rank
 	Tag     int     // message tag
 	Data    buf.Buf // received data (receives) or the sent buffer (sends)
 	Extra   buf.Buf // second segment of an iovec send (Sendmx), if any
 	UserCtx any     // context supplied when the operation was posted
+
+	pkt *packet // message arrivals: the packet holding Data and Extra
+	gen uint32  // pkt.gen at delivery; a mismatch means freed already
 }
 
 // Handler is a completion handler invoked from Progress.

@@ -1,6 +1,7 @@
 package lci
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -300,4 +301,132 @@ func TestLCIPerMessageCostBelowMPI(t *testing.T) {
 	if lciCfg.SendCost(1024) >= 220*sim.Nanosecond+sim.Duration(1024*50) {
 		t.Skip("cost models changed; revisit calibration")
 	}
+}
+
+// TestBufferedBurstHeldPacketsStayIntact sends a burst of distinct Buffered
+// payloads from one reused sender buffer and progresses all of them before
+// freeing any: every held arrival must still read back byte-exact, and
+// after the frees the packets serve a second burst just as well.
+func TestBufferedBurstHeldPacketsStayIntact(t *testing.T) {
+	eng, rt := harness(2)
+	pump(eng, rt)
+	var held []Request
+	rt.Endpoint(1).SetMsgComp(Handler(func(r Request) { held = append(held, r) }))
+	ep := rt.Endpoint(0)
+	want := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i * 7)}, 100+i) }
+	for round := 0; round < 2; round++ {
+		held = held[:0]
+		scratch := make([]byte, 0, 512)
+		const n = 32
+		for i := 0; i < n; i++ {
+			scratch = append(scratch[:0], want(i)...)
+			if err := ep.Sendm(1, i, buf.FromBytes(scratch)); err != nil {
+				t.Fatal(err)
+			}
+			clear(scratch) // the send copied it: the sender may reuse at once
+		}
+		eng.Run()
+		if len(held) != n {
+			t.Fatalf("round %d: %d of %d arrivals", round, len(held), n)
+		}
+		for _, r := range held {
+			if !bytes.Equal(r.Data.Bytes, want(r.Tag)) {
+				t.Fatalf("round %d: message %d corrupted while held", round, r.Tag)
+			}
+		}
+		for _, r := range held {
+			rt.Endpoint(1).Free(r)
+		}
+	}
+}
+
+// wire is a fabric.Network that holds messages until flush delivers them,
+// egress completion first. It runs no simulated time, so allocation counts
+// taken over it are the library's alone.
+type wire struct {
+	h []fabric.Handler
+	q []*fabric.Message
+}
+
+func (w *wire) Ranks() int                         { return len(w.h) }
+func (w *wire) SetHandler(r int, h fabric.Handler) { w.h[r] = h }
+func (w *wire) Send(m *fabric.Message)             { w.q = append(w.q, m) }
+
+func (w *wire) flush() {
+	for i := 0; i < len(w.q); i++ {
+		m := w.q[i]
+		if m.OnTx != nil {
+			m.OnTx()
+		}
+		w.h[m.Dst](m)
+	}
+	clear(w.q)
+	w.q = w.q[:0]
+}
+
+// TestFreedPacketIsReused pins the eager path's steady state: once arrivals
+// are freed, the next send takes the freed packet, so a send, its delivery,
+// the free and the packet's release allocate nothing.
+func TestFreedPacketIsReused(t *testing.T) {
+	w := &wire{h: make([]fabric.Handler, 2)}
+	rt := NewRuntime(sim.NewEngine(), w, DefaultConfig())
+	src, dst := rt.Endpoint(0), rt.Endpoint(1)
+	got := 0
+	dst.SetMsgComp(Handler(func(r Request) {
+		got++
+		dst.Free(r)
+	}))
+	payload := buf.FromBytes(make([]byte, 1024))
+	send := func() {
+		if err := src.Sendm(1, 1, payload); err != nil {
+			t.Fatal(err)
+		}
+		w.flush()
+		dst.Progress() // deliver and free
+		src.Progress() // retire the packet-pool slot
+	}
+	send() // warm the packet pool and the staged-work buffers
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("%v allocs per eager message after Free, want 0", allocs)
+	}
+	if got != 102 {
+		t.Fatalf("delivered %d messages, want 102", got)
+	}
+}
+
+func TestFreeMisusePanics(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	eng, rt := harness(2)
+	pump(eng, rt)
+	dst := rt.Endpoint(1)
+	var msgs []Request
+	dst.SetMsgComp(Handler(func(r Request) { msgs = append(msgs, r) }))
+	rt.Endpoint(0).Sendm(1, 1, buf.FromBytes([]byte("once")))
+	sDone, rDone := &Sync{}, &Sync{}
+	dst.Recvd(0, 2, buf.Virtual(1<<16), rDone, nil)
+	rt.Endpoint(0).Sendd(1, 2, buf.Virtual(1<<16), sDone, nil)
+	eng.Run()
+	if len(msgs) != 1 {
+		t.Fatalf("%d arrivals", len(msgs))
+	}
+	dst.Free(msgs[0])
+	mustPanic("double Free", func() { dst.Free(msgs[0]) })
+	// A second message may reuse the freed packet; the stale Request must
+	// still be refused.
+	rt.Endpoint(0).Sendm(1, 1, buf.FromBytes([]byte("twice")))
+	eng.Run()
+	mustPanic("stale Free after reuse", func() { dst.Free(msgs[0]) })
+	dst.Free(msgs[1])
+	r, _ := rDone.Test()
+	mustPanic("Free of a Direct receive completion", func() { dst.Free(r) })
+	s, _ := sDone.Test()
+	mustPanic("Free of a Direct send completion", func() { rt.Endpoint(0).Free(s) })
 }

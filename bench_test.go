@@ -8,11 +8,13 @@
 package amtlci
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"amtlci/internal/bench"
 	"amtlci/internal/core/stack"
+	"amtlci/internal/expd"
 	"amtlci/internal/hicma"
 	"amtlci/internal/netpipe"
 	"amtlci/internal/parsec"
@@ -23,7 +25,7 @@ import (
 var quick = stats.Methodology{Runs: 2, Discard: 1}
 
 // benchSizes is a representative subset of the granularity sweep, keeping
-// bench runtime reasonable; cmd/pingpong runs the full axis.
+// bench runtime reasonable; cmd/experiments runs the full axis.
 var benchSizes = []int64{32 << 10, 128 << 10, 512 << 10, 2 << 20}
 
 // BenchmarkTable1Config reports the simulated platform parameters (the
@@ -160,18 +162,32 @@ func BenchmarkFig4bLatency(b *testing.B) {
 	}
 }
 
+// strongScalingBench evaluates the bench-scale Figure 5 / Table 2 sweep at
+// one node count through the experiment service's spec path.
+func strongScalingBench(b *testing.B, nodes int) bench.StrongScalingPoint {
+	tiles := []int{3000, 1800, 1200}
+	n, ok := bench.ScaledProblem(0.25, tiles)
+	s := expd.Spec{Kind: expd.KindNodes, N: n, NodeCounts: []int{nodes}, Tiles: ok}
+	canon, _, results, err := expd.Evaluate(context.Background(), 1, s, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts, err := expd.StrongScalingFrom(canon, results)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pts[0]
+}
+
 // BenchmarkFig5aStrongScaling regenerates Figure 5a at bench scale:
 // time-to-solution over node counts at each backend's best tile size.
 func BenchmarkFig5aStrongScaling(b *testing.B) {
-	tiles := []int{3000, 1800, 1200}
 	for _, nodes := range []int{2, 4, 8} {
 		nodes := nodes
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			var pt bench.StrongScalingPoint
 			for i := 0; i < b.N; i++ {
-				n, ok := bench.ScaledProblem(0.25, tiles)
-				pt = bench.StrongScaling(n, []int{nodes}, ok,
-					stats.Methodology{Runs: 1, Discard: 0}, 1, 1)[0]
+				pt = strongScalingBench(b, nodes)
 			}
 			b.ReportMetric(pt.LCI.TimeToSolution, "s-LCI")
 			b.ReportMetric(pt.MPIBest.TimeToSolution, "s-MPI-best")
@@ -195,12 +211,9 @@ func BenchmarkFig5bStrongScalingLatency(b *testing.B) {
 // BenchmarkTable2BestTile regenerates Table 2 at bench scale: the
 // best-performing tile size per backend.
 func BenchmarkTable2BestTile(b *testing.B) {
-	tiles := []int{3000, 1800, 1200}
 	var lciTile, mpiTile int
 	for i := 0; i < b.N; i++ {
-		meth := stats.Methodology{Runs: 1, Discard: 0}
-		n, ok := bench.ScaledProblem(0.25, tiles)
-		pt := bench.StrongScaling(n, []int{4}, ok, meth, 1, 1)[0]
+		pt := strongScalingBench(b, 4)
 		lciTile, mpiTile = pt.LCITile, pt.MPIBestTile
 	}
 	b.ReportMetric(float64(lciTile), "nb-LCI")

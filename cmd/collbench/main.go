@@ -10,21 +10,25 @@
 //	collbench [-ranks 4,16,64] [-iters N] [-j N] [-csv] [-check] [-quick]
 //
 // With -csv the sweep is emitted as one CSV table on stdout (deterministic
-// for a fixed seed); otherwise aligned text tables, one per operation and
-// rank count. -check exits nonzero if the selector picked a slower
-// algorithm anywhere in the sweep.
+// for a fixed seed); otherwise as one aligned text table. -check exits
+// nonzero if the selector picked a slower algorithm at a size extreme.
+//
+// The flags build an expd coll spec, so the points are evaluated by the
+// same code as the simd experiment service's coll sweeps.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 
 	"amtlci/internal/bench"
-	"amtlci/internal/coll"
 	"amtlci/internal/core/stack"
+	"amtlci/internal/expd"
 	"amtlci/internal/sim"
 )
 
@@ -41,132 +45,85 @@ func parseRanks(s string) []int {
 	return out
 }
 
+// duration converts a row's microseconds back to the simulator's duration
+// for the miss notes.
+func duration(us float64) sim.Duration {
+	return sim.Duration(math.Round(us * float64(sim.Microsecond)))
+}
+
 func main() {
 	ranksFlag := flag.String("ranks", "4,16,64", "comma-separated rank counts")
 	iters := flag.Int("iters", 3, "back-to-back operations per measurement")
 	csv := flag.Bool("csv", false, "emit one CSV table on stdout")
-	check := flag.Bool("check", false, "exit nonzero if the selector picked a slower algorithm")
-	quick := flag.Bool("quick", false, "fast sweep: 2 rank counts, every other size, 1 iteration")
+	check := flag.Bool("check", false, "exit nonzero if the selector picked a slower algorithm at a size extreme")
+	quick := flag.Bool("quick", false, "fast sweep: 2 rank counts, every other size plus the largest")
 	j := flag.Int("j", 1, "parallel sweep workers (0 = one per CPU); output is identical for every value")
 	flag.Parse()
 
-	ranksList := parseRanks(*ranksFlag)
-	sizes := bench.CollSizes()
+	spec := expd.Spec{Kind: expd.KindColl, Ranks: parseRanks(*ranksFlag), Iters: *iters}
 	if *quick {
-		ranksList = []int{4, 16}
-		var sub []int64
+		// Keep both size extremes: -check holds the selector to them.
+		spec.Ranks = []int{4, 16}
+		sizes := bench.CollSizes()
 		for i, s := range sizes {
-			if i%2 == 0 {
-				sub = append(sub, s)
+			if i%2 == 0 || i == len(sizes)-1 {
+				spec.Sizes = append(spec.Sizes, expd.Size(s))
 			}
 		}
-		sizes = sub
-		*iters = 1
+	}
+	canon, pts, results, err := expd.Evaluate(context.Background(), *j, spec, nil)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "collbench: %v\n", err)
+		os.Exit(1)
 	}
 
-	csvTbl := bench.NewTable("collectives sweep — mean completion time",
+	tbl := bench.NewTable("collectives sweep — mean completion time",
 		"backend", "op", "ranks", "bytes", "algorithm", "picked", "time_us")
-	smallest, largest := sizes[0], sizes[len(sizes)-1]
-
-	// One sweep point per (backend, op, ranks, size); each point returns its
-	// table rows and any selector-miss note so the assembled output — table,
-	// counters, and stderr notes alike — is independent of worker count.
-	type pointResult struct {
-		rows          [][]string
-		miss, extreme bool
-		note          string
-	}
-	measure := func(b stack.Backend, k coll.Kind, n int, size int64) pointResult {
-		var pr pointResult
-		algos := coll.Algorithms(k)
-		times := make(map[coll.Algorithm]sim.Duration, len(algos))
-		addRow := func(name, picked string, d sim.Duration) {
-			pr.rows = append(pr.rows, []string{
-				b.String(), k.String(), fmt.Sprint(n), fmt.Sprint(size),
-				name, picked, fmt.Sprintf("%.3f", d.Seconds()*1e6),
-			})
-		}
-		for _, a := range algos {
-			o := bench.DefaultCollOpts(b, k, n, size)
-			o.Algo = a
-			o.Iters = *iters
-			res := bench.Collective(o)
-			times[a] = res.Time
-			addRow(a.String(), a.String(), res.Time)
-		}
-		o := bench.DefaultCollOpts(b, k, n, size)
-		o.Iters = *iters
-		auto := bench.Collective(o)
-		addRow("auto", auto.Picked.String(), auto.Time)
-
-		best := algos[0]
-		for _, a := range algos[1:] {
-			if times[a] < times[best] {
-				best = a
-			}
-		}
-		if auto.Picked != best {
-			pr.miss = true
-			// The selector must be right at the latency (smallest) and
-			// bandwidth (largest) extremes; mid-range crossover points
-			// within measurement noise of each other are informational.
-			pr.extreme = k != coll.OpBarrier && (size == smallest || size == largest)
-			severity := "note:"
-			if pr.extreme {
-				severity = "MISS:"
-			}
-			pr.note = fmt.Sprintf(
-				"collbench: %s selector picked %v for %v/%s n=%d size=%d; %v is faster (%v vs %v)",
-				severity, auto.Picked, b, k, n, size, best, times[best], times[auto.Picked])
-		}
-		return pr
-	}
-
-	type point struct {
-		b    stack.Backend
-		k    coll.Kind
-		n    int
-		size int64
-	}
-	var grid []point
-	for _, b := range []stack.Backend{stack.LCI, stack.MPI} {
-		for _, k := range bench.CollKinds() {
-			for _, n := range ranksList {
-				if k == coll.OpBarrier {
-					grid = append(grid, point{b, k, n, 0})
-					continue
-				}
-				for _, size := range sizes {
-					grid = append(grid, point{b, k, n, size})
-				}
-			}
-		}
-	}
-	workers := bench.SweepWorkers(*j, len(grid))
-	results := bench.Sweep(workers, len(grid), func(i int) pointResult {
-		g := grid[i]
-		return measure(g.b, g.k, g.n, g.size)
-	})
+	smallest, largest := int64(canon.Sizes[0]), int64(canon.Sizes[len(canon.Sizes)-1])
 	misses, extremeMisses := 0, 0
-	for _, pr := range results {
-		for _, r := range pr.rows {
-			csvTbl.AddRow(r...)
+	for i, p := range pts {
+		b, _ := stack.ParseBackend(p.Backend) // canonical spelling, cannot fail
+		// Rows are the concrete algorithms in sweep order, then "auto".
+		rows := results[i].Coll
+		concrete, auto := rows[:len(rows)-1], rows[len(rows)-1]
+		for _, r := range rows {
+			tbl.AddRow(b.String(), p.Op, strconv.Itoa(p.Ranks), strconv.FormatInt(p.Size, 10),
+				r.Algo, r.Picked, fmt.Sprintf("%.3f", r.TimeUS))
 		}
-		if pr.miss {
-			misses++
-			if pr.extreme {
-				extremeMisses++
+
+		best, picked := concrete[0], concrete[0]
+		for _, r := range concrete {
+			if r.TimeUS < best.TimeUS {
+				best = r
 			}
-			if *check {
-				fmt.Fprintln(os.Stderr, pr.note)
+			if r.Algo == auto.Picked {
+				picked = r
 			}
+		}
+		if auto.Picked == best.Algo {
+			continue
+		}
+		misses++
+		// The selector must be right at the latency (smallest) and
+		// bandwidth (largest) extremes; mid-range crossover points within
+		// measurement noise of each other are informational.
+		severity := "note:"
+		if p.Op != "barrier" && (p.Size == smallest || p.Size == largest) {
+			severity = "MISS:"
+			extremeMisses++
+		}
+		if *check {
+			fmt.Fprintf(os.Stderr,
+				"collbench: %s selector picked %s for %v/%s n=%d size=%d; %s is faster (%v vs %v)\n",
+				severity, auto.Picked, b, p.Op, p.Ranks, p.Size, best.Algo,
+				duration(best.TimeUS), duration(picked.TimeUS))
 		}
 	}
 
 	if *csv {
-		csvTbl.CSV(os.Stdout)
+		tbl.CSV(os.Stdout)
 	} else {
-		csvTbl.Write(os.Stdout)
+		tbl.Write(os.Stdout)
 	}
 	if *check {
 		fmt.Fprintf(os.Stderr,

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -26,6 +27,7 @@ import (
 
 	"amtlci/internal/bench"
 	"amtlci/internal/core/stack"
+	"amtlci/internal/expd"
 	"amtlci/internal/fabric"
 	"amtlci/internal/hicma"
 	"amtlci/internal/netpipe"
@@ -64,10 +66,10 @@ func main() {
 	}
 
 	micro := stats.Methodology{Runs: *runsMicro, Discard: 3}
-	hicma := stats.Methodology{Runs: *runsHicma, Discard: 0}
+	hicmaRuns := stats.Methodology{Runs: *runsHicma, Discard: 0}
 	if *quick {
 		micro = stats.Methodology{Runs: 2, Discard: 1}
-		hicma = stats.Methodology{Runs: 1, Discard: 0}
+		hicmaRuns = stats.Methodology{Runs: 1, Discard: 0}
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -166,55 +168,53 @@ func main() {
 	emit("fig3", fig3)
 
 	// ---- Figures 4a/4b ----
-	n, tiles := bench.ScaledProblem(*scale, bench.PaperTileSizes)
-	fmt.Printf("HiCMA problem: N=%d (scale %.2f)\n\n", n, *scale)
+	// The HiCMA sweeps run through the same spec -> points -> EvalPoints
+	// path as cmd/hicma and the simd service.
+	eval := func(s expd.Spec) (expd.Spec, []expd.PointResult) {
+		s.Shards = *shards
+		s.Runs, s.Discard = hicmaRuns.Runs, hicmaRuns.Discard
+		canon, _, results, err := expd.Evaluate(context.Background(), *j, s, nil)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			os.Exit(1)
+		}
+		return canon, results
+	}
+	tile, tileResults := eval(expd.Spec{Kind: expd.KindTile, Scale: *scale, MT: true, Steal: *steal})
+	fmt.Printf("HiCMA problem: N=%d (scale %.2f)\n\n", tile.N, *scale)
 	fig4a := bench.NewTable("Fig 4a: TLR Cholesky time-to-solution, 16 nodes (s)",
 		"tile", "LCI", "Open MPI")
 	fig4b := bench.NewTable("Fig 4b: end-to-end latency, 16 nodes (ms)",
 		"tile", "LCI", "Open MPI", "LCI (MT)", "Open MPI (MT)")
-	type key struct {
-		b  stack.Backend
-		mt bool
+	// Points are ordered backend (LCI, MPI) > mt (off, on) > tile.
+	nt := len(tile.Tiles)
+	at := func(backend, mt, ti int) bench.HiCMAResult {
+		return *tileResults[(backend*2+mt)*nt+ti].HiCMA
 	}
-	ttsAtTile := map[int]map[key]float64{}
-	fig4Rows := bench.Sweep(workers(len(tiles)), len(tiles), func(i int) map[key]bench.HiCMAResult {
-		res := map[key]bench.HiCMAResult{}
-		for _, b := range []stack.Backend{stack.LCI, stack.MPI} {
-			for _, mt := range []bool{false, true} {
-				o := bench.DefaultHiCMAOpts(b, tiles[i], 16)
-				o.N = n
-				o.MT = mt
-				o.Steal = *steal
-				o.Shards = *shards
-				o.Runs = hicma
-				res[key{b, mt}] = bench.HiCMA(o)
-			}
-		}
-		return res
-	})
-	for i, t := range tiles {
-		res := fig4Rows[i]
-		ttsAtTile[t] = map[key]float64{}
-		for k, r := range res {
-			ttsAtTile[t][k] = r.TimeToSolution
-		}
+	for ti, t := range tile.Tiles {
 		fig4a.AddFloats(fmt.Sprint(t), "%.2f",
-			res[key{stack.LCI, false}].TimeToSolution, res[key{stack.MPI, false}].TimeToSolution)
+			at(0, 0, ti).TimeToSolution, at(1, 0, ti).TimeToSolution)
 		fig4b.AddFloats(fmt.Sprint(t), "%.2f",
-			res[key{stack.LCI, false}].E2ELatencyMS, res[key{stack.MPI, false}].E2ELatencyMS,
-			res[key{stack.LCI, true}].E2ELatencyMS, res[key{stack.MPI, true}].E2ELatencyMS)
+			at(0, 0, ti).E2ELatencyMS, at(1, 0, ti).E2ELatencyMS,
+			at(0, 1, ti).E2ELatencyMS, at(1, 1, ti).E2ELatencyMS)
 	}
 	emit("fig4a", fig4a)
 	emit("fig4b", fig4b)
 
 	// ---- Figures 5a/5b and Table 2 ----
-	n5, tiles5 := n, tiles
+	nodes := expd.Spec{Kind: expd.KindNodes, Scale: *scale}
 	if *fig5Scale > 0 {
-		n5, tiles5 = bench.ScaledProblem(*fig5Scale, bench.PaperTileSizes)
-		fmt.Printf("strong-scaling problem: N=%d (scale %.2f)\n\n", n5, *fig5Scale)
+		nodes.Scale = *fig5Scale
 	}
-	points := bench.StrongScaling(n5, bench.PaperNodeCounts, tiles5, hicma,
-		workers(2*len(bench.PaperNodeCounts)*len(tiles5)), *shards)
+	nodes, nodesResults := eval(nodes)
+	if *fig5Scale > 0 {
+		fmt.Printf("strong-scaling problem: N=%d (scale %.2f)\n\n", nodes.N, *fig5Scale)
+	}
+	points, err := expd.StrongScalingFrom(nodes, nodesResults)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
+	}
 	fig5a := bench.NewTable("Fig 5a: strong scaling (s)", "nodes", "LCI", "Open MPI", "Open MPI (best)")
 	fig5b := bench.NewTable("Fig 5b: strong-scaling latency (ms)", "nodes", "LCI", "Open MPI", "Open MPI (best)")
 	tbl2 := bench.NewTable("Table 2: tile size with lowest time-to-solution", "nodes", "Open MPI", "LCI")

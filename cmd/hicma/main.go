@@ -60,12 +60,7 @@ func main() {
 	// eval expands a spec built from the flags and evaluates its points,
 	// consulting the shared cache when -cache is set.
 	eval := func(s expd.Spec) (expd.Spec, []expd.PointResult) {
-		canon, err := s.Canonical()
-		if err != nil {
-			log.Fatalf("hicma: %v", err)
-		}
-		pts := canon.Points()
-		results, err := expd.EvalPoints(context.Background(), *j, pts, cache, expd.EvalHooks{})
+		canon, _, results, err := expd.Evaluate(context.Background(), *j, s, cache)
 		if err != nil {
 			log.Fatalf("hicma: %v", err)
 		}

@@ -37,8 +37,8 @@ func SweepWorkers(j, n int) int {
 
 // Sweep evaluates point(0..n-1) on up to `workers` goroutines and returns
 // the results in point order. point must be self-contained: it may not
-// touch another point's simulation state (every caller in this package
-// builds a fresh engine per point, which is what makes this sound).
+// touch another point's simulation state (every caller builds a fresh
+// engine per point, which is what makes this sound).
 // workers is clamped to n; workers <= 1 runs serially on the caller's
 // goroutine. Sweep is SweepCtx with a background context: it always runs
 // every point.

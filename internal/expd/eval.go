@@ -69,6 +69,19 @@ func EvalPoints(ctx context.Context, workers int, pts []Point, cache *Cache, hoo
 	return out, firstErr
 }
 
+// Evaluate canonicalizes s, expands it to points, and evaluates them with
+// EvalPoints: the flags -> spec -> points -> results path every batch sweep
+// CLI shares with the service.
+func Evaluate(ctx context.Context, workers int, s Spec, cache *Cache) (Spec, []Point, []PointResult, error) {
+	canon, err := s.Canonical()
+	if err != nil {
+		return Spec{}, nil, nil, err
+	}
+	pts := canon.Points()
+	results, err := EvalPoints(ctx, workers, pts, cache, EvalHooks{})
+	return canon, pts, results, err
+}
+
 // gf formats a float64 with the shortest representation that round-trips,
 // so assembled CSVs are exact and byte-stable across cache hit and miss.
 func gf(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -138,9 +151,10 @@ func AssembleTable(s Spec, pts []Point, results []PointResult) (*bench.Table, er
 }
 
 // StrongScalingFrom reassembles a completed nodes-kind sweep into the
-// Figure 5 / Table 2 series, mirroring bench.StrongScaling's grid layout
-// (node count outer, LCI then MPI, tiles inner — the order Spec.Points
-// emits).
+// Figure 5 / Table 2 series. Points arrive in Spec.Points order (node
+// count outer, LCI then MPI, tiles inner); the full grid is one flat sweep,
+// so a large -j keeps every worker busy even when a node count has few
+// tiles, and per-point determinism makes the series independent of -j.
 func StrongScalingFrom(s Spec, results []PointResult) ([]bench.StrongScalingPoint, error) {
 	if s.Kind != KindNodes {
 		return nil, fmt.Errorf("expd: StrongScalingFrom wants a %q spec, got %q", KindNodes, s.Kind)

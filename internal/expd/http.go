@@ -79,7 +79,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	st, fresh, err := s.Submit(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		if errors.Is(err, ErrQueueFull) {
+			code = http.StatusTooManyRequests
+		}
+		writeError(w, code, err)
 		return
 	}
 	code := http.StatusOK

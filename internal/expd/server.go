@@ -118,6 +118,22 @@ func (s *Server) kick() {
 	}
 }
 
+// Bounds on what one client can make the service hold. A 1 MiB spec body
+// can name ~100k node counts, which would expand to millions of points
+// before anything runs; and every queued job keeps its points in memory
+// until it runs.
+const (
+	// maxSpecPoints caps the points one spec may expand to (the full paper
+	// sweeps need at most a few hundred).
+	maxSpecPoints = 10000
+	// maxQueuedJobs caps the jobs waiting behind the running one.
+	maxQueuedJobs = 64
+)
+
+// ErrQueueFull is returned by Submit when maxQueuedJobs jobs are already
+// waiting; the HTTP API answers it with 429.
+var ErrQueueFull = errors.New("expd: job queue is full, retry later")
+
 // Submit decodes, canonicalizes, and enqueues a spec. If a job with the
 // same content address already exists, its current status is returned with
 // fresh=false and nothing is enqueued.
@@ -125,6 +141,9 @@ func (s *Server) Submit(raw []byte) (st JobStatus, fresh bool, err error) {
 	spec, err := DecodeSpec(raw)
 	if err != nil {
 		return JobStatus{}, false, err
+	}
+	if n := spec.numPoints(); n > maxSpecPoints {
+		return JobStatus{}, false, fmt.Errorf("expd: spec expands to %d points, more than the %d allowed", n, maxSpecPoints)
 	}
 	id := spec.Hash()
 	s.mu.Lock()
@@ -136,6 +155,10 @@ func (s *Server) Submit(raw []byte) (st JobStatus, fresh bool, err error) {
 	if s.closing {
 		s.mu.Unlock()
 		return JobStatus{}, false, errors.New("expd: server is shutting down")
+	}
+	if len(s.queue) >= maxQueuedJobs {
+		s.mu.Unlock()
+		return JobStatus{}, false, ErrQueueFull
 	}
 	job := &Job{ID: id, Spec: spec, Points: spec.Points(), state: StateQueued}
 	s.jobs[id] = job

@@ -177,6 +177,96 @@ func TestServerRejectsOversizedBody(t *testing.T) {
 	}
 }
 
+// TestServerRejectsTooManyPoints pins the per-spec point cap: a small body
+// naming thousands of node counts is refused with 400 before its points are
+// built, and starts no job.
+func TestServerRejectsTooManyPoints(t *testing.T) {
+	srv := newTestServer(t, t.TempDir())
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// scale 0.01 keeps 3 tiles, so each node count is 2 x 3 = 6 points.
+	counts := make([]string, maxSpecPoints/6+1)
+	for i := range counts {
+		counts[i] = strconv.Itoa(i + 1)
+	}
+	body := `{"kind":"nodes","scale":0.01,"node_counts":[` + strings.Join(counts, ",") + `]}`
+	// The cap counts points without building them; the count must match
+	// the expansion for every kind.
+	for _, raw := range []string{body, tinySpec,
+		`{"kind":"tile","scale":0.05,"mt":true,"backends":["mpi"]}`,
+		`{"kind":"coll","ops":["bcast","barrier"],"ranks":[4,16],"sizes":[256,4096,"1MiB"]}`,
+		`{"kind":"chaos","workloads":["hicma"]}`} {
+		spec, err := DecodeSpec([]byte(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, want := spec.numPoints(), len(spec.Points()); n != want {
+			t.Errorf("%s: numPoints = %d, Points expands to %d", raw, n, want)
+		}
+		if raw == body && spec.numPoints() <= maxSpecPoints {
+			t.Fatalf("test spec has only %d points, want more than %d", spec.numPoints(), maxSpecPoints)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "points") {
+		t.Fatalf("oversized sweep: status %d (%s), want 400 naming the point cap", resp.StatusCode, msg)
+	}
+	if jobs := srv.List(); len(jobs) != 0 {
+		t.Fatalf("oversized sweep created %d job(s)", len(jobs))
+	}
+}
+
+// TestServerQueueFull pins the queue bound: once maxQueuedJobs jobs wait
+// behind the running one, a new spec is refused with 429 and starts no job,
+// while resubmitting a known spec still dedups onto its job.
+func TestServerQueueFull(t *testing.T) {
+	srv := newTestServer(t, t.TempDir())
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	post := func(body string) (int, string) {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	// Slow enough that the first job is still running when the queue fills;
+	// the dispatcher may or may not have taken it off the queue yet.
+	spec := func(seed int) string {
+		return fmt.Sprintf(`{"kind":"nodes","scale":0.05,"runs":5,"seed":%d}`, seed)
+	}
+	accepted := 0
+	for ; accepted <= maxQueuedJobs+1; accepted++ {
+		code, msg := post(spec(accepted + 1))
+		if code == http.StatusTooManyRequests {
+			break
+		}
+		if code != http.StatusCreated {
+			t.Fatalf("submit %d: status %d (%s)", accepted, code, msg)
+		}
+	}
+	if accepted != maxQueuedJobs && accepted != maxQueuedJobs+1 {
+		t.Fatalf("accepted %d jobs before 429, want %d queued (+1 running)", accepted, maxQueuedJobs)
+	}
+	if n := len(srv.List()); n != accepted {
+		t.Fatalf("refused submit left %d jobs, want %d", n, accepted)
+	}
+	if code, msg := post(spec(1)); code != http.StatusOK {
+		t.Fatalf("resubmitting a known spec on a full queue: status %d (%s), want 200", code, msg)
+	}
+}
+
 func TestServerCancelMidSweep(t *testing.T) {
 	srv := newTestServer(t, t.TempDir())
 	defer srv.Close()

@@ -2,8 +2,8 @@
 // exposed as a persistent, cache-fronted HTTP/JSON daemon (cmd/simd).
 //
 // A client submits an experiment Spec — one canonical schema covering the
-// sweeps the batch CLIs (cmd/experiments, cmd/hicma, cmd/collbench,
-// cmd/chaos) parse ad hoc today. The service validates and canonicalizes
+// batch sweeps; cmd/experiments, cmd/hicma, and cmd/collbench build their
+// sweeps as specs too (Evaluate). The service validates and canonicalizes
 // the spec, decomposes it into self-contained sweep Points, and schedules
 // the points on a bounded worker pool (bench.SweepCtx). Every point is
 // content-addressed by a stable hash of its canonical encoding: because the
@@ -475,6 +475,34 @@ func (s Spec) Canonical() (Spec, error) {
 			s.Kind, KindTile, KindNodes, KindColl, KindChaos)
 	}
 	return c, nil
+}
+
+// numPoints is len(s.Points()) for a canonical spec, computed without
+// building the points, so an oversized spec can be refused cheaply.
+func (s Spec) numPoints() int {
+	switch s.Kind {
+	case KindTile:
+		mts := 1
+		if s.MT {
+			mts = 2
+		}
+		return len(s.Backends) * mts * len(s.Tiles)
+	case KindNodes:
+		return len(s.NodeCounts) * len(s.Backends) * len(s.Tiles)
+	case KindColl:
+		perBackend := 0
+		for _, op := range s.Ops {
+			if op == "barrier" {
+				perBackend += len(s.Ranks)
+			} else {
+				perBackend += len(s.Ranks) * len(s.Sizes)
+			}
+		}
+		return len(s.Backends) * perBackend
+	case KindChaos:
+		return len(s.Backends) * len(s.Workloads)
+	}
+	return 0
 }
 
 // Points decomposes a canonical spec into its constituent sweep points, in

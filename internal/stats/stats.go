@@ -100,9 +100,6 @@ var Microbenchmark = Methodology{Runs: 18, Discard: 3}
 // HiCMA is the protocol of Section 6.4: mean of five successive executions.
 var HiCMA = Methodology{Runs: 5, Discard: 0}
 
-// Quick is a cheap protocol for unit tests and -short benchmarks.
-var Quick = Methodology{Runs: 3, Discard: 1}
-
 // Collect runs f Runs times (passing the run index) and returns the mean of
 // the retained samples. It panics if the methodology retains nothing.
 func (m Methodology) Collect(f func(run int) float64) float64 {

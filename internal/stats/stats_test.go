@@ -66,7 +66,7 @@ func TestMethodologyDiscardsWarmup(t *testing.T) {
 }
 
 func TestMethodologyCollectAll(t *testing.T) {
-	xs := Quick.CollectAll(func(run int) float64 { return float64(run) })
+	xs := Methodology{Runs: 3, Discard: 1}.CollectAll(func(run int) float64 { return float64(run) })
 	if len(xs) != 2 || xs[0] != 1 || xs[1] != 2 {
 		t.Fatalf("CollectAll = %v", xs)
 	}

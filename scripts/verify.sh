@@ -32,6 +32,12 @@ timeout 120 go run ./cmd/chaos -crash 1@40% -metrics "$(mktemp -d)"
 # on both backends (full cascade + seeded storm: `make chaos-multicrash`).
 timeout 120 go run ./cmd/chaos -crash 1@40%,2@3ms -metrics "$(mktemp -d)"
 
+# Collective smoke behind a time budget: the quick sweep (4 and 16 ranks,
+# every other payload size plus both extremes, 3 iterations) must keep the
+# selector on the fastest algorithm at the size extremes (full sweep:
+# `go run ./cmd/collbench -check`).
+timeout 120 go run ./cmd/collbench -quick -check
+
 # Sharded-simulation smoke behind a time budget: one HiCMA configuration run
 # serially and on a 4-shard conservative domain, exercising the full
 # cross-shard path (fabric wire hops, window protocol, inbox admission) from
